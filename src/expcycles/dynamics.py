@@ -5,6 +5,14 @@ census are provided: definitional brute force (census_naive), a
 vectorized scan of the exponent table (census_table), and a full
 functional-graph decomposition (census_graph). They must agree; the test
 suite holds them to that.
+
+The graph route never builds a table of size p. All cycles lie in the
+image subgroup <g> of order t = ord_p(g), where the map is conjugate to
+S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
+one tail step. decompose_table finds the cycles, tails and cycle lengths
+of S in O(log) numpy passes of repeated squaring and pointer jumping.
+The memory budget charges about 40 bytes per element of <g>, not per
+element of {1,...,p-1}.
 """
 
 from __future__ import annotations
@@ -16,10 +24,15 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .modarith import check_prime_modulus
+from .modarith import check_prime_modulus, multiplicative_order
 
-# Byte budget for whole-graph passes (table + per-node words).
+# Byte budget for whole-graph passes.
 DEFAULT_MEM_BUDGET = 2**31
+
+# Peak working memory of census_graph per element of <g> with int32
+# indices (t <= 2**31); int64 indices double it. Measured peak RSS over
+# the interpreter baseline was 30-34 B per element for t = 1.4e6..2e7.
+_GRAPH_BYTES_PER_NODE = 40
 
 # Largest modulus for which int64 products a*b with a, b < p stay exact.
 _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
@@ -256,52 +269,148 @@ def census_table(
     return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
 
 
-def decompose_table(table: list[int], lo: int) -> tuple[list[int], list[int], list[int]]:
+def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
     """Functional-graph decomposition of node -> table[node] on {lo,...,len-1}.
 
-    Returns (cycle_lengths, dist, comp): dist[u] is the number of steps
-    from u to the first cyclic node (0 on cycles), comp[u] the id of the
-    owning cycle. Iterative, one visit per node.
+    The table must map that range into itself. Returns (cycle_lengths,
+    dist): one entry per cycle, and dist[i] the number of steps from node
+    lo + i to the first cyclic node (0 on cycles). Log-depth numpy
+    passes:
+
+    * the cyclic nodes are the eventual image of the map, reached by
+      squaring it (P = P[P]) until the image stops shrinking;
+    * tail lengths come from pointer jumping on the forest rooted at
+      the cycles (Wyllie's list ranking);
+    * cycle lengths come from min-label pointer jumping on the cyclic
+      permutation, counted per label.
     """
-    n = len(table)
-    dist = [-1] * n
-    comp = [-1] * n
-    cycle_lengths: list[int] = []
-    for s in range(lo, n):
-        if dist[s] >= 0:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        u = s
-        while dist[u] < 0 and u not in pos:
-            pos[u] = len(path)
-            path.append(u)
-            u = table[u]
-        if dist[u] >= 0:
-            cid = comp[u]
-            base = dist[u]
-            size = len(path)
-            for i, x in enumerate(path):
-                dist[x] = base + size - i
-                comp[x] = cid
-        else:
-            j = pos[u]
-            cid = len(cycle_lengths)
-            cycle_lengths.append(len(path) - j)
-            for x in path[j:]:
-                dist[x] = 0
-                comp[x] = cid
-            for i in range(j):
-                dist[path[i]] = j - i
-                comp[path[i]] = cid
-    return cycle_lengths, dist, comp
+    succ = np.asarray(table)[lo:]
+    if lo:
+        succ = succ - lo
+    n = len(succ)
+    index_type = np.int32 if n <= 2**31 else np.int64
+    succ = succ.astype(index_type, copy=False)
+
+    # Compare the images of S^0 (all nodes), S^1, S^2, S^4, ... in turn.
+    # Once Im S^a equals a later image, S maps it onto (so bijectively to)
+    # itself: it is the set of cyclic nodes, reached within a steps.
+    cyclic = np.ones(n, dtype=bool)
+    cyclic_count = n
+    jump = succ
+    doublings = 0
+    while True:
+        image = np.zeros(n, dtype=bool)
+        image[jump] = True
+        image_count = int(np.count_nonzero(image))
+        if image_count == cyclic_count:
+            break
+        cyclic, cyclic_count = image, image_count
+        jump = jump[jump]
+        doublings += 1
+    del jump, image
+
+    # Pointer jumping runs on rows (value, pointer): one row gather per
+    # round moves both columns, half the random reads of two gathers.
+    # Tails: after r rounds the value is min(tail, 2**r); the longest
+    # tail is at most 2**(doublings - 1).
+    dist = np.zeros(n, dtype=index_type)
+    dist[~cyclic] = 1
+    if doublings > 1:
+        state = np.stack([dist, np.where(cyclic, np.arange(n, dtype=index_type), succ)], axis=1)
+        for _ in range(doublings - 1):
+            ahead = np.take(state, state[:, 1], axis=0)
+            ahead[:, 0] += state[:, 0]
+            state = ahead
+        dist = state[:, 0].copy()
+        del state, ahead
+
+    # Cycles: the value is the least label among the next 2**r nodes of
+    # the cycle; a round that changes no label leaves every cycle's min.
+    if cyclic_count == n:
+        perm = succ
+    else:
+        nodes = np.flatnonzero(cyclic).astype(index_type)
+        rank = np.zeros(n, dtype=index_type)
+        rank[nodes] = np.arange(cyclic_count, dtype=index_type)
+        perm = rank[succ[nodes]]
+        del nodes, rank
+    state = np.stack([np.arange(cyclic_count, dtype=index_type), perm], axis=1)
+    del perm
+    while True:
+        ahead = np.take(state, state[:, 1], axis=0)
+        np.minimum(ahead[:, 0], state[:, 0], out=ahead[:, 0])
+        if np.array_equal(ahead[:, 0], state[:, 0]):
+            break
+        state = ahead
+    label = state[:, 0]
+    counts = np.bincount(label)
+    return counts[counts > 0], dist
 
 
-def _check_budget(p: int, mem_budget: int) -> None:
-    # table + tolist copy + dist/comp lists, roughly 7 words per node
-    if 56 * p > mem_budget:
+def _graph_summary(cycle_lengths: np.ndarray, max_tail: int) -> FunctionalGraphSummary:
+    lengths = tuple(sorted(cycle_lengths.tolist()))
+    return FunctionalGraphSummary(
+        component_count=len(lengths),
+        cyclic_point_count=sum(lengths),
+        cycle_length_multiset=lengths,
+        max_tail_length=max_tail,
+        is_permutation=(max_tail == 0),
+    )
+
+
+def _census_from_cycles(
+    cycle_lengths: tuple[int, ...], k_max: int | None, fixed_outside: int = 0
+) -> CycleCensus:
+    """CycleCensus from a cycle-length multiset.
+
+    A cycle of length L holds L points of least period L, and
+    n_dividing[k] sums those over the divisors L of k. fixed_outside
+    fixed points lie outside the census domain and are not counted.
+    k_max defaults to the longest cycle length.
+    """
+    least = Counter()
+    for length in cycle_lengths:
+        least[length] += length
+    if fixed_outside:
+        least[1] -= fixed_outside
+    if k_max is None:
+        k_max = max(least)
+    n_div = [0] * (k_max + 1)
+    n_least = [0] * (k_max + 1)
+    for d, count in least.items():
+        if d <= k_max:
+            n_least[d] = count
+            for k in range(d, k_max + 1, d):
+                n_div[k] += count
+    return CycleCensus(k_max, tuple(n_div), tuple(n_least))
+
+
+def _subgroup_map(m: ExpMap, t: int) -> np.ndarray:
+    """S[e] = (g**e mod p) mod t for e in 0..t-1, where t = ord_p(g).
+
+    e -> g**e mod p carries S onto the map restricted to <g>: the map
+    sends g**e to g**(g**e mod p), which is g**S[e] because g**t == 1.
+    """
+    p, g = m.p, m.g
+    index_type = np.int32 if t <= 2**31 else np.int64
+    if p <= _NUMPY_MOD_LIMIT:
+        powers = _pow_range(g, t, p)
+        powers %= t
+        return powers.astype(index_type)
+    powers = [0] * t
+    v = 1
+    for e in range(t):
+        powers[e] = v % t
+        v = v * g % p
+    return np.array(powers, dtype=index_type)
+
+
+def _check_budget(p: int, t: int, mem_budget: int) -> None:
+    need = _GRAPH_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2)
+    if need > mem_budget:
         raise MemoryBudgetError(
-            f"p={p} needs ~{56 * p} bytes for a whole-graph pass, budget {mem_budget}"
+            f"p={p}: the graph pass on the {t} elements of <g> needs ~{need} bytes, "
+            f"budget {mem_budget}"
         )
 
 
@@ -312,42 +421,25 @@ def census_graph(
 ) -> tuple[FunctionalGraphSummary, CycleCensus]:
     """Full functional-graph decomposition and the census derived from it.
 
-    One status pass over {1,...,p-1}; least-period counts come from the
-    cycle-length multiset (each cycle of length L contributes L points of
-    least period L) and n_dividing[k] sums those over divisors of k.
+    Every cycle lies in the image subgroup <g> of order t = ord_p(g), so
+    the decomposition runs on the conjugate map S on {0,...,t-1} (see
+    _subgroup_map). A point u outside <g> is never cyclic, and its tail
+    is one step longer than that of the exponent u mod t. When <g> is a
+    proper subgroup the longest tail is therefore one step longer than
+    in S: a deepest point e of S has no preimage under S, so all (p-1)/t
+    points of {1,...,p-1} congruent to e mod t lie outside <g> (if S is
+    a permutation, every point outside <g> has tail 1).
     k_max defaults to the longest cycle length.
     """
     if k_max is not None and k_max < 1:
         raise ValueError("k_max must be >= 1")
     p = m.p
-    _check_budget(p, mem_budget)
-    table = exp_table(m)
-    tl = table.tolist() if isinstance(table, np.ndarray) else table
-    cycle_lengths, dist, _comp = decompose_table(tl, 1)
-    least = Counter()
-    for length in cycle_lengths:
-        least[length] += length
-    max_tail = max(dist[1:])
-    cyclic_count = sum(cycle_lengths)
-    summary = FunctionalGraphSummary(
-        component_count=len(cycle_lengths),
-        cyclic_point_count=cyclic_count,
-        cycle_length_multiset=tuple(sorted(cycle_lengths)),
-        max_tail_length=max_tail,
-        is_permutation=(max_tail == 0),
-    )
-    if k_max is None:
-        k_max = max(least)
-    n_div = [0] * (k_max + 1)
-    n_least = [0] * (k_max + 1)
-    for d, count in least.items():
-        if d <= k_max:
-            n_least[d] = count
-        for k in range(d, k_max + 1):
-            if k % d == 0:
-                n_div[k] += count
-    census = CycleCensus(k_max, tuple(n_div), tuple(n_least))
-    return summary, census
+    t = multiplicative_order(m.g, p)
+    _check_budget(p, t, mem_budget)
+    cycle_lengths, dist = decompose_table(_subgroup_map(m, t), 0)
+    max_tail = int(dist.max()) + (1 if t < p - 1 else 0)
+    summary = _graph_summary(cycle_lengths, max_tail)
+    return summary, _census_from_cycles(summary.cycle_length_multiset, k_max)
 
 
 def fixed_points(m: ExpMap) -> set[int]:

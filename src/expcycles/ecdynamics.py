@@ -10,25 +10,24 @@ mirroring the prime case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import (
+    _NUMPY_MOD_LIMIT,
     DEFAULT_MEM_BUDGET,
     CycleCensus,
     FunctionalGraphSummary,
     MemoryBudgetError,
-    _invert_dividing,
+    _census_from_cycles,
+    _graph_summary,
     decompose_table,
 )
 from .modarith import check_prime_modulus
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
-
-_NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -210,25 +209,7 @@ def ec_census_graph(
     other cycle passes through it), so it counts starting values in
     {1,...,N-1} exactly like ec_census.
     """
-    table = ec_table(m)
-    cycle_lengths, dist, _comp = decompose_table(table, 0)
-    max_tail = max(dist)
-    summary = FunctionalGraphSummary(
-        component_count=len(cycle_lengths),
-        cyclic_point_count=sum(cycle_lengths),
-        cycle_length_multiset=tuple(sorted(cycle_lengths)),
-        max_tail_length=max_tail,
-        is_permutation=(max_tail == 0),
-    )
-    least = {}
-    for length in cycle_lengths:
-        least[length] = least.get(length, 0) + length
-    least[1] -= 1  # the 0 -> 0 loop, outside the census domain
-    if k_max is None:
-        k_max = max(least)
-    n_div = [0] * (k_max + 1)
-    for d, count in least.items():
-        for k in range(d, k_max + 1):
-            if k % d == 0:
-                n_div[k] += count
-    return summary, CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
+    cycle_lengths, dist = decompose_table(np.asarray(ec_table(m)), 0)
+    summary = _graph_summary(cycle_lengths, int(dist.max()))
+    # the 0 -> 0 loop lies outside the census domain
+    return summary, _census_from_cycles(summary.cycle_length_multiset, k_max, fixed_outside=1)

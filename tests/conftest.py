@@ -76,6 +76,45 @@ def brute_cycle_multiset(p: int, g: int) -> list[int]:
     return sorted(lengths)
 
 
+def brute_orbit_structure(table, nodes) -> tuple[list[int], int]:
+    """(sorted cycle lengths, longest tail) of u -> table[u] on nodes.
+
+    Walks every orbit until a point repeats, then walks every point
+    until it reaches a point that returns to itself.
+    """
+    on_cycle: set[int] = set()
+    lengths: list[int] = []
+    for s in nodes:
+        seen = set()
+        u = s
+        while u not in seen:
+            seen.add(u)
+            u = table[u]
+        if u in on_cycle:
+            continue
+        cycle = [u]
+        v = table[u]
+        while v != u:
+            cycle.append(v)
+            v = table[v]
+        on_cycle.update(cycle)
+        lengths.append(len(cycle))
+    longest = 0
+    for s in nodes:
+        steps = 0
+        u = s
+        while u not in on_cycle:
+            u = table[u]
+            steps += 1
+        longest = max(longest, steps)
+    return sorted(lengths), longest
+
+
+def brute_max_tail(p: int, g: int) -> int:
+    """Most steps any u in {1,...,p-1} takes to reach a cyclic point."""
+    return brute_orbit_structure(brute_table(p, g), range(1, p))[1]
+
+
 def brute_ind(g: int, h: int, p: int) -> int:
     """Discrete log by linear scan over exponents 0..p-2."""
     v = 1

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import brute_census, brute_cycle_multiset, brute_order, trial_primes_between
+from conftest import (
+    brute_census,
+    brute_cycle_multiset,
+    brute_max_tail,
+    brute_order,
+    brute_table,
+    trial_primes_between,
+)
 from expcycles import dynamics
 from expcycles.modarith import multiplicative_order
 
@@ -224,6 +231,14 @@ class TestCensusGraph:
         with pytest.raises(dynamics.MemoryBudgetError):
             dynamics.census_graph(dynamics.ExpMap(10007, 5), mem_budget=1000)
 
+    def test_budget_charges_elements_of_the_subgroup(self):
+        m = dynamics.ExpMap(1009, 3)  # ord_1009(3) = 168, index 6
+        need = dynamics._GRAPH_BYTES_PER_NODE * multiplicative_order(3, 1009)
+        with pytest.raises(dynamics.MemoryBudgetError):
+            dynamics.census_graph(m, k_max=3, mem_budget=need - 1)
+        _, census = dynamics.census_graph(m, k_max=3, mem_budget=need)
+        assert census == dynamics.census_naive(m, 3)
+
     def test_cyclic_points_lie_in_subgroup(self):
         # every cyclic point is a power of g: x in <g> iff x**ord(g) == 1
         rng = random.Random(10)
@@ -235,6 +250,39 @@ class TestCensusGraph:
             for u in range(1, p):
                 rec = dynamics.orbit(m, u)
                 assert pow(rec.entry_point, t, p) == 1, (p, g, u)
+
+
+def oracle_summary(p: int, g: int) -> dynamics.FunctionalGraphSummary:
+    cycles = brute_cycle_multiset(p, g)
+    return dynamics.FunctionalGraphSummary(
+        component_count=len(cycles),
+        cyclic_point_count=sum(cycles),
+        cycle_length_multiset=tuple(cycles),
+        max_tail_length=brute_max_tail(p, g),
+        is_permutation=len(set(brute_table(p, g).values())) == p - 1,
+    )
+
+
+class TestGraphSummaryAgainstOracles:
+    def test_every_base_below_100(self):
+        for p in trial_primes_between(3, 99):
+            for g in range(1, p):
+                summary, _ = dynamics.census_graph(dynamics.ExpMap(p, g))
+                assert summary == oracle_summary(p, g), (p, g)
+
+    def test_random_pairs_up_to_2003(self):
+        # per prime: g = 1, g = p-1, a random h and h**2, whose index is >= 2
+        rng = random.Random(14)
+        primes = [2003] + rng.sample(trial_primes_between(100, 2003), 14)
+        for p in primes:
+            h = rng.randint(2, p - 2)
+            assert (p - 1) // brute_order(h * h % p, p) >= 2
+            for g in (1, p - 1, h, h * h % p):
+                summary, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=4)
+                assert summary == oracle_summary(p, g), (p, g)
+                n_div, n_least = brute_census(p, g, 4)
+                assert list(census.n_dividing) == n_div, (p, g)
+                assert list(census.n_least_period) == n_least, (p, g)
 
 
 class TestPermutationCriterion:

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import ec_brute_census, ec_brute_points, trial_primes_between
+from conftest import brute_orbit_structure, ec_brute_census, ec_brute_points, trial_primes_between
 from expcycles import ecdynamics
-from expcycles.dynamics import MemoryBudgetError
+from expcycles.dynamics import FunctionalGraphSummary, MemoryBudgetError
 
 F5_CURVE = ecdynamics.CurveParams(5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
 F5_AFFINE = [(0, 1), (0, 4), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)]
@@ -226,3 +226,21 @@ class TestECCensus:
             naive = ecdynamics.ec_census(m, 5)
             _, derived = ecdynamics.ec_census_graph(m, 5)
             assert naive == derived, (p, curve.a, curve.b, base)
+
+    def test_graph_summary_against_brute_walk(self):
+        # y^2 = x^3 + 2x + 3 over F_101: 96 points, cycles (1, 1, 1, 2, 3, 3, 4), tail 8
+        m = ecdynamics.ECExpMap(ecdynamics.CurveParams(101, 2, 3), (1, 39))
+        table = [ecdynamics.ec_apply(m, u) for u in range(m.n)]
+        cycles, max_tail = brute_orbit_structure(table, range(m.n))
+        summary, census = ecdynamics.ec_census_graph(m, 4)
+        assert summary == FunctionalGraphSummary(
+            component_count=len(cycles),
+            cyclic_point_count=sum(cycles),
+            cycle_length_multiset=tuple(cycles),
+            max_tail_length=max_tail,
+            is_permutation=len(set(table)) == m.n,
+        )
+        assert max_tail > 0 and len(cycles) > 1
+        n_div, n_least = ec_brute_census(table, m.n, 4)
+        assert list(census.n_dividing) == n_div
+        assert list(census.n_least_period) == n_least
