@@ -82,35 +82,47 @@ def _require_prime(p: int) -> None:
 
 # ---------------------------------------------------------------- census
 
-def _census_payload(p: int, g: int, k_max: int, mem_budget: int) -> dict:
-    m = dynamics.ExpMap(p, g)
+def _census_and_graph(
+    m: dynamics.ExpMap, k_max: int, mem_budget: int
+) -> tuple[dynamics.CycleCensus, dict | None]:
+    """(census, graph dict) from the graph pass, or (naive census, None) over budget."""
     try:
         summary, census = dynamics.census_graph(m, k_max=k_max, mem_budget=mem_budget)
-        graph = {
-            "components": summary.component_count,
-            "cyclic_points": summary.cyclic_point_count,
-            "cycles": list(summary.cycle_length_multiset),
-            "max_tail": summary.max_tail_length,
-            "is_permutation": summary.is_permutation,
-        }
     except dynamics.MemoryBudgetError:
-        census = dynamics.census_naive(m, k_max)
-        graph = None
-    return {
-        "p": p,
-        "g": m.g,
-        "k": k_max,
-        "n_dividing": list(census.n_dividing[1:]),
-        "n_least_period": list(census.n_least_period[1:]),
-        "graph": graph,
+        return dynamics.census_naive(m, k_max), None
+    return census, {
+        "components": summary.component_count,
+        "cyclic_points": summary.cyclic_point_count,
+        "cycles": list(summary.cycle_length_multiset),
+        "max_tail": summary.max_tail_length,
+        "is_permutation": summary.is_permutation,
     }
+
+
+def _counts(census: dynamics.CycleCensus, k_max: int) -> dict:
+    return {
+        "k": k_max,
+        "n_dividing": list(census.n_dividing[1 : k_max + 1]),
+        "n_least_period": list(census.n_least_period[1 : k_max + 1]),
+    }
+
+
+def _count_columns(k_max: int) -> list[str]:
+    return [f"n_div_{k}" for k in range(1, k_max + 1)] + [
+        f"n_least_{k}" for k in range(1, k_max + 1)
+    ]
+
+
+def _census_payload(p: int, g: int, k_max: int, mem_budget: int) -> dict:
+    m = dynamics.ExpMap(p, g)
+    census, graph = _census_and_graph(m, k_max, mem_budget)
+    return {"p": p, "g": m.g, **_counts(census, k_max), "graph": graph}
 
 
 def _census_columns(k_max: int) -> list[str]:
     return (
         ["p", "g"]
-        + [f"n_div_{k}" for k in range(1, k_max + 1)]
-        + [f"n_least_{k}" for k in range(1, k_max + 1)]
+        + _count_columns(k_max)
         + ["components", "cyclic_points", "max_tail", "is_permutation", "cycles"]
     )
 
@@ -140,13 +152,8 @@ def cmd_census(args) -> int:
 
 # ---------------------------------------------------------- verify-bounds
 
-def _bounds_dict(report: bounds.BoundReport) -> dict:
+def _bound_fields(report: bounds.BoundReport) -> dict:
     return {
-        "p": report.p,
-        "g": report.g,
-        "n1": report.n1,
-        "n2": report.n2,
-        "n3": report.n3,
         "bounds": {
             "thm1": report.thm1_value,
             "thm2": {"z": report.thm2_z, "value": report.thm2_value},
@@ -162,18 +169,16 @@ def _bounds_dict(report: bounds.BoundReport) -> dict:
     }
 
 
-_BOUNDS_COLUMNS = [
-    "p", "g", "n1", "n2", "n3",
+_BOUND_CELL_COLUMNS = [
     "thm1_value", "thm1_applicable", "thm1_ok",
     "thm2_z", "thm2_value", "thm2_ok",
     "thm3_value", "thm3_ok", "notes",
 ]
 
 
-def _bounds_flat(row: dict) -> list:
+def _bound_cells(row: dict) -> list:
     b, f = row["bounds"], row["flags"]
     return [
-        row["p"], row["g"], row["n1"], row["n2"], row["n3"],
         b["thm1"], f["thm1_applicable"], f["thm1"],
         "" if b["thm2"]["z"] is None else b["thm2"]["z"],
         "" if b["thm2"]["value"] is None else b["thm2"]["value"],
@@ -181,9 +186,19 @@ def _bounds_flat(row: dict) -> list:
     ]
 
 
-def _bounds_task(task: tuple[int, int]) -> dict:
+_BOUNDS_COLUMNS = ["p", "g", "n1", "n2", "n3"] + _BOUND_CELL_COLUMNS
+
+
+def _bounds_flat(row: dict) -> list:
+    return [row["p"], row["g"], row["n1"], row["n2"], row["n3"]] + _bound_cells(row)
+
+
+def _bounds_task(task: tuple[int, int]) -> tuple[dict, bool]:
     p, g = task
-    return _bounds_dict(bounds.verify(dynamics.ExpMap(p, g)))
+    report = bounds.verify(dynamics.ExpMap(p, g))
+    row = {"p": p, "g": report.g, "n1": report.n1, "n2": report.n2, "n3": report.n3,
+           **_bound_fields(report)}
+    return row, report.violated
 
 
 def _run_tasks(tasks, worker_fn, workers: int) -> list:
@@ -204,17 +219,15 @@ def _range_tasks(args) -> list[tuple[int, int]]:
     return tasks
 
 
+def _write_checked(args, results: list[tuple[dict, bool]], columns: list[str], flatten) -> int:
+    """Write the rows of (row, violated) results; exit 1 if any row is violated."""
+    _write_rows(args, [row for row, _ in results], columns, flatten)
+    return EXIT_VIOLATION if any(violated for _, violated in results) else EXIT_OK
+
+
 def cmd_verify_bounds(args) -> int:
-    tasks = _range_tasks(args)
-    rows = _run_tasks(tasks, _bounds_task, args.workers)
-    _write_rows(args, rows, _BOUNDS_COLUMNS, _bounds_flat)
-    violated = any(
-        (row["flags"]["thm1_applicable"] and not row["flags"]["thm1"])
-        or not row["flags"]["thm2"]
-        or not row["flags"]["thm3"]
-        for row in rows
-    )
-    return EXIT_VIOLATION if violated else EXIT_OK
+    results = _run_tasks(_range_tasks(args), _bounds_task, args.workers)
+    return _write_checked(args, results, _BOUNDS_COLUMNS, _bounds_flat)
 
 
 # ----------------------------------------------------------------- sweep
@@ -222,65 +235,29 @@ def cmd_verify_bounds(args) -> int:
 _SWEEP_KMAX = 3
 
 
-def _sweep_task(task: tuple[int, int, int, int]) -> dict:
+def _sweep_task(task: tuple[int, int, int, int]) -> tuple[dict, bool]:
     p, g, k_max, mem_budget = task
     m = dynamics.ExpMap(p, g)
-    k_census = max(3, k_max)  # bounds always need counts up to k = 3
-    try:
-        summary, census = dynamics.census_graph(m, k_max=k_census, mem_budget=mem_budget)
-        graph = {
-            "components": summary.component_count,
-            "cyclic_points": summary.cyclic_point_count,
-            "cycles": list(summary.cycle_length_multiset),
-            "max_tail": summary.max_tail_length,
-            "is_permutation": summary.is_permutation,
-        }
-    except dynamics.MemoryBudgetError:
-        census = dynamics.census_naive(m, k_census)
-        graph = None
-    payload = _bounds_dict(bounds.verify(m, census=census))
-    return {
-        "p": p,
-        "g": m.g,
-        "k": k_max,
-        "n_dividing": list(census.n_dividing[1 : k_max + 1]),
-        "n_least_period": list(census.n_least_period[1 : k_max + 1]),
-        "graph": graph,
-        "bounds": payload["bounds"],
-        "flags": payload["flags"],
-        "notes": payload["notes"],
-    }
+    # bounds always need counts up to k = 3
+    census, graph = _census_and_graph(m, max(3, k_max), mem_budget)
+    report = bounds.verify(m, census=census)
+    row = {"p": p, "g": m.g, **_counts(census, k_max), "graph": graph,
+           **_bound_fields(report)}
+    return row, report.violated
 
 
 def _sweep_columns(k_max: int) -> list[str]:
-    return _census_columns(k_max) + [
-        "thm1_value", "thm1_applicable", "thm1_ok",
-        "thm2_z", "thm2_value", "thm2_ok",
-        "thm3_value", "thm3_ok", "notes",
-    ]
+    return _census_columns(k_max) + _BOUND_CELL_COLUMNS
 
 
 def _sweep_flat(row: dict) -> list:
-    b, f = row["bounds"], row["flags"]
-    return _census_flat(row) + [
-        b["thm1"], f["thm1_applicable"], f["thm1"],
-        "" if b["thm2"]["z"] is None else b["thm2"]["z"],
-        "" if b["thm2"]["value"] is None else b["thm2"]["value"],
-        f["thm2"], b["thm3"], f["thm3"], ";".join(row["notes"]),
-    ]
+    return _census_flat(row) + _bound_cells(row)
 
 
 def cmd_sweep(args) -> int:
     tasks = [(p, g, args.kmax, args.mem_budget) for p, g in _range_tasks(args)]
-    rows = _run_tasks(tasks, _sweep_task, args.workers)
-    _write_rows(args, rows, _sweep_columns(args.kmax), _sweep_flat)
-    violated = any(
-        (row["flags"]["thm1_applicable"] and not row["flags"]["thm1"])
-        or not row["flags"]["thm2"]
-        or not row["flags"]["thm3"]
-        for row in rows
-    )
-    return EXIT_VIOLATION if violated else EXIT_OK
+    results = _run_tasks(tasks, _sweep_task, args.workers)
+    return _write_checked(args, results, _sweep_columns(args.kmax), _sweep_flat)
 
 
 # ----------------------------------------------------------------- lemma
@@ -429,16 +406,11 @@ def cmd_ec(args) -> int:
         "gy": args.gy,
         "n": m.n,
         "hasse_ok": ecdynamics.hasse_ok(args.p, m.n),
-        "k": args.kmax,
-        "n_dividing": list(census.n_dividing[1:]),
-        "n_least_period": list(census.n_least_period[1:]),
+        **_counts(census, args.kmax),
     }
-    columns = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"] + \
-        [f"n_div_{k}" for k in range(1, args.kmax + 1)] + \
-        [f"n_least_{k}" for k in range(1, args.kmax + 1)]
-    _write_rows(args, [row], columns,
-                lambda r: [r["p"], r["a"], r["b"], r["gx"], r["gy"], r["n"], r["hasse_ok"]]
-                + r["n_dividing"] + r["n_least_period"])
+    head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
+    _write_rows(args, [row], head + _count_columns(args.kmax),
+                lambda r: [r[c] for c in head] + r["n_dividing"] + r["n_least_period"])
     return EXIT_OK
 
 

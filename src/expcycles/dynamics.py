@@ -6,6 +6,13 @@ vectorized scan of the exponent table (census_table), and a full
 functional-graph decomposition (census_graph). They must agree; the test
 suite holds them to that.
 
+The table route is shared with the elliptic-curve analogue: any map
+given as a value table on {0,...,n-1} is censused by _census_from_table
+over the starts {1,...,n-1}. A table of size p needs int64-exact
+products, so exp_table refuses p above _NUMPY_MOD_LIMIT (about 3.04e9,
+where the table alone would exceed 24 GB); census_naive and census_graph
+still run there.
+
 The graph route never builds a table of size p. All cycles lie in the
 image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
@@ -208,26 +215,29 @@ def _pow_range(base: int, count: int, p: int) -> np.ndarray:
     return out
 
 
-def exp_table(m: ExpMap) -> np.ndarray | list[int]:
+def _require_int64_exact(p: int) -> None:
+    """Refuse a table pass over {0,...,p-1} whose int64 products would overflow."""
+    if p > _NUMPY_MOD_LIMIT:
+        raise MemoryBudgetError(
+            f"p={p} exceeds {_NUMPY_MOD_LIMIT}, the largest modulus whose table "
+            "products are exact in int64"
+        )
+
+
+def exp_table(m: ExpMap) -> np.ndarray:
     """Table T with T[u] = g**u mod p for u in 1..p-1; T[0] is a 0 sentinel.
 
-    Vectorized baby/giant block construction when int64 products are
-    exact; plain running-product list for larger p.
+    Vectorized baby/giant block construction in int64; p above
+    _NUMPY_MOD_LIMIT raises MemoryBudgetError.
     """
     p, g = m.p, m.g
-    if p <= _NUMPY_MOD_LIMIT:
-        b = math.isqrt(p) + 1
-        baby = _pow_range(g, b, p)
-        giants = _pow_range(pow(g, b, p), (p + b - 1) // b, p)
-        table = (giants[:, None] * baby[None, :]) % p
-        table = table.reshape(-1)[:p].copy()
-        table[0] = 0
-        return table
-    table = [0] * p
-    v = 1
-    for u in range(1, p):
-        v = v * g % p
-        table[u] = v
+    _require_int64_exact(p)
+    b = math.isqrt(p) + 1
+    baby = _pow_range(g, b, p)
+    giants = _pow_range(pow(g, b, p), (p + b - 1) // b, p)
+    table = (giants[:, None] * baby[None, :]) % p
+    table = table.reshape(-1)[:p].copy()
+    table[0] = 0
     return table
 
 
@@ -239,9 +249,22 @@ def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
     return n_least
 
 
-def census_table(
-    m: ExpMap, k_max: int, table: np.ndarray | list[int] | None = None
-) -> CycleCensus:
+def _census_from_table(table: np.ndarray, k_max: int) -> CycleCensus:
+    """CycleCensus of u -> table[u] over the starts {1,...,len(table)-1}.
+
+    k-fold composition by gathers; the one census loop behind both the
+    prime map (census_table) and the curve map (ecdynamics.ec_census).
+    """
+    n_div = [0] * (k_max + 1)
+    base = np.arange(1, len(table), dtype=np.int64)
+    cur = base
+    for k in range(1, k_max + 1):
+        cur = table[cur]
+        n_div[k] = int(np.count_nonzero(cur == base))
+    return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
+
+
+def census_table(m: ExpMap, k_max: int) -> CycleCensus:
     """CycleCensus via k-fold composition of the exponent table.
 
     Counting semantics identical to census_naive; this is the fast path
@@ -249,24 +272,7 @@ def census_table(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    p = m.p
-    if table is None:
-        table = exp_table(m)
-    n_div = [0] * (k_max + 1)
-    if isinstance(table, np.ndarray):
-        base = np.arange(1, p, dtype=np.int64)
-        cur = base
-        for k in range(1, k_max + 1):
-            cur = table[cur]
-            n_div[k] = int(np.count_nonzero(cur == base))
-    else:
-        for u in range(1, p):
-            v = u
-            for k in range(1, k_max + 1):
-                v = table[v]
-                if v == u:
-                    n_div[k] += 1
-    return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
+    return _census_from_table(exp_table(m), k_max)
 
 
 def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ with the point at infinity (represented as None) as neutral element.
 For a base point G and the group size N, the analogue map sends
 u -> x(uG) mod N on {0,...,N-1}, with x(O) assigned the value 0 so that
 iteration is total. Censuses count starting values in {1,...,N-1},
-mirroring the prime case.
+mirroring the prime case: ec_census runs the shared table census of
+dynamics on ec_table. curve_order, like dynamics.exp_table, refuses p
+above the int64-exact limit dynamics._NUMPY_MOD_LIMIT.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
-    _NUMPY_MOD_LIMIT,
     DEFAULT_MEM_BUDGET,
     CycleCensus,
     FunctionalGraphSummary,
     MemoryBudgetError,
     _census_from_cycles,
+    _census_from_table,
     _graph_summary,
+    _require_int64_exact,
     decompose_table,
 )
 from .modarith import check_prime_modulus
@@ -105,25 +108,19 @@ def scalar_mul(curve: CurveParams, k: int, point: Point) -> Point:
 def curve_order(curve: CurveParams, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """#E(F_p): the infinity point plus, per x, the number of y solving the equation.
 
-    Full O(p) sweep via a square-count table; intended for desk-scale p.
+    Full O(p) sweep via a square-count table in int64; intended for
+    desk-scale p. p above the int64-exact limit raises MemoryBudgetError.
     """
     p = curve.p
+    _require_int64_exact(p)
     if 16 * p > mem_budget:
         raise MemoryBudgetError(
             f"p={p} needs ~{16 * p} bytes for the order sweep, budget {mem_budget}"
         )
-    if p <= _NUMPY_MOD_LIMIT:
-        x = np.arange(p, dtype=np.int64)
-        rhs = (x * x % p * x % p + curve.a * x % p + curve.b) % p
-        counts = np.bincount(x * x % p, minlength=p)
-        return 1 + int(counts[rhs].sum())
-    squares = [0] * p
-    for y in range(p):
-        squares[y * y % p] += 1
-    total = 1
-    for xv in range(p):
-        total += squares[(xv * xv % p * xv + curve.a * xv + curve.b) % p]
-    return total
+    x = np.arange(p, dtype=np.int64)
+    rhs = (x * x % p * x % p + curve.a * x % p + curve.b) % p
+    counts = np.bincount(x * x % p, minlength=p)
+    return 1 + int(counts[rhs].sum())
 
 
 def hasse_ok(p: int, n: int) -> bool:
@@ -164,39 +161,26 @@ def ec_apply(m: ECExpMap, u: int) -> int:
     return 0 if point is None else point[0] % m.n
 
 
-def ec_table(m: ECExpMap) -> list[int]:
-    """Table t with t[u] = x(uG) mod N for u in 0..N-1, by running addition."""
-    table = [0] * m.n
+def ec_table(m: ECExpMap) -> np.ndarray:
+    """int64 table t with t[u] = x(uG) mod N for u in 0..N-1, by running addition."""
+    table = np.zeros(m.n, dtype=np.int64)
     point: Point = None
     for u in range(1, m.n):
         point = point_add(m.curve, point, m.gen)
-        table[u] = 0 if point is None else point[0] % m.n
+        if point is not None:
+            table[u] = point[0] % m.n
     return table
 
 
 def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:
     """Count u0 in {1,...,N-1} with u_k == u0 for each k <= k_max.
 
-    Direct iteration of the analogue map (memoized through the value
-    table); same counting semantics as the prime-case census.
+    The table census of the prime case run on ec_table, so the counting
+    semantics are the same.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    table = ec_table(m)
-    n_div = [0] * (k_max + 1)
-    n_least = [0] * (k_max + 1)
-    for u in range(1, m.n):
-        v = u
-        least = 0
-        for k in range(1, k_max + 1):
-            v = table[v]
-            if v == u:
-                n_div[k] += 1
-                if least == 0:
-                    least = k
-        if least:
-            n_least[least] += 1
-    return CycleCensus(k_max, tuple(n_div), tuple(n_least))
+    return _census_from_table(ec_table(m), k_max)
 
 
 def ec_census_graph(
@@ -209,7 +193,7 @@ def ec_census_graph(
     other cycle passes through it), so it counts starting values in
     {1,...,N-1} exactly like ec_census.
     """
-    cycle_lengths, dist = decompose_table(np.asarray(ec_table(m)), 0)
+    cycle_lengths, dist = decompose_table(ec_table(m), 0)
     summary = _graph_summary(cycle_lengths, int(dist.max()))
     # the 0 -> 0 loop lies outside the census domain
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max, fixed_outside=1)

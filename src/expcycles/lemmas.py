@@ -175,22 +175,14 @@ def three_periodic_set(m: dynamics.ExpMap, semantics: str) -> set[int]:
     """
     if semantics not in M_SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; use one of {M_SEMANTICS}")
-    p = m.p
     table = dynamics.exp_table(m)
-    if isinstance(table, np.ndarray):
-        base = np.arange(1, p, dtype=np.int64)
-        t1 = table[1:]
-        t3 = table[table[t1]]
-        mask = t3 == base
-        if semantics == "least":
-            mask &= t1 != base
-        return {int(u) for u in base[mask]}
-    out = set()
-    for u in range(1, p):
-        v1 = table[u]
-        if table[table[v1]] == u and (semantics == "dividing" or v1 != u):
-            out.add(u)
-    return out
+    base = np.arange(1, m.p, dtype=np.int64)
+    t1 = table[1:]
+    t3 = table[table[t1]]
+    mask = t3 == base
+    if semantics == "least":
+        mask &= t1 != base
+    return {int(u) for u in base[mask]}
 
 
 def thm3_phi(
@@ -269,8 +261,7 @@ def thm3_verify(p: int, g: int, m_semantics: str = "least") -> Thm3ProofReport:
     s_index = thm3_S(p, g)
     c_set = adjacency_core(p, m_set)
 
-    table = dynamics.exp_table(m)
-    tl = table.tolist() if isinstance(table, np.ndarray) else table
+    tl = dynamics.exp_table(m).tolist()
     phi: dict[int, int] = {}
     x_set: set[int] = set()
     for x in sorted(c_set - s_index):

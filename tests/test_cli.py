@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+import pytest
+
 from conftest import brute_census
-from expcycles import cli
+from expcycles import bounds, cli
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +111,13 @@ class TestSweepCommand:
         assert row["bounds"]["thm2"] == {"z": 2, "value": 45}
         assert row["bounds"]["thm3"] == "17"
         assert row["graph"]["components"] == 4
+        # below k = 3 the rows keep only k_max counts, though the bounds need N(3)
+        code, out, _ = run_cli(capsys, "sweep", "--pmin", "11", "--pmax", "11",
+                               "--g-list", "2", "--kmax", "2")
+        assert code == 0
+        row = json_rows(out)[0]
+        assert (row["k"], row["n_dividing"], row["n_least_period"]) == (2, [1, 5], [1, 4])
+        assert row["bounds"]["thm3"] == "17"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.jsonl"
@@ -117,6 +127,36 @@ class TestSweepCommand:
         assert out == ""
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert [r["p"] for r in rows] == [11, 13]
+
+
+class TestReportPath:
+    # sha256 of stdout in three report formats; a changed digest is a
+    # changed output format
+    GOLDEN = [
+        (("sweep", "--pmin", "11", "--pmax", "101", "--g-list", "2,3,5", "--csv"),
+         "7bd366a7c710c495e53ae6c1d33f7f8f0fd1147fe9005dfac5d78bed8d5135c2"),
+        (("verify-bounds", "--pmin", "11", "--pmax", "61", "--csv"),
+         "4506ddf6c0b4e4e53434828d8c3f238e0972ff4fdba88a8ea10765080e4824ff"),
+        (("ec", "--p", "101", "--a", "2", "--b", "3", "--gx", "1", "--gy", "39",
+          "--kmax", "4", "--csv"),
+         "474dca2957e55ec4ac405258ac7c4513204751add5c3084415b50ddff58d850c"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", GOLDEN, ids=["sweep", "verify-bounds", "ec"])
+    def test_golden_stdout(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["verify-bounds", "sweep"])
+    def test_violation_exits_1(self, capsys, monkeypatch, command):
+        # a failing fixed-point check is a violation only where thm1 applies (p >= 11)
+        monkeypatch.setattr(bounds, "thm1_holds", lambda p, n1: False)
+        code, _, _ = run_cli(capsys, command, "--pmin", "3", "--pmax", "7", "--g-list", "2")
+        assert code == 0
+        code, out, _ = run_cli(capsys, command, "--pmin", "11", "--pmax", "11", "--g-list", "2")
+        assert code == 1
+        assert json_rows(out)[0]["flags"]["thm1"] is False
 
 
 class TestLemmaCommands:

@@ -135,7 +135,7 @@ class TestCensusNaive:
 
 class TestExpTable:
     def test_matches_pow_small(self):
-        for p, g in [(7, 3), (11, 2), (97, 5), (499, 7)]:
+        for p, g in [(7, 3), (11, 2), (97, 5), (101, 7), (499, 7)]:
             table = dynamics.exp_table(dynamics.ExpMap(p, g))
             assert table[0] == 0
             for u in range(1, p):
@@ -174,16 +174,19 @@ class TestCensusRoutes:
             _, derived = dynamics.census_graph(m, k_max=4)
             assert derived == naive
 
-    def test_list_table_fallback(self, monkeypatch):
-        # force the pure-python table path and check the routes still agree
-        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 2)
+    def test_only_table_routes_refuse_above_int64_limit(self, monkeypatch):
         m = dynamics.ExpMap(101, 7)
-        table = dynamics.exp_table(m)
-        assert isinstance(table, list)
-        assert all(table[u] == pow(7, u, 101) for u in range(1, 101))
-        assert dynamics.census_table(m, 6) == dynamics.census_naive(m, 6)
+        naive = dynamics.census_naive(m, 6)
+        assert dynamics.census_table(m, 6) == naive
+        # the limit lowered just below p stands in for p > 3.04e9: the table
+        # routes refuse, the graph route and fixed_points still run
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 100)
+        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
+            dynamics.exp_table(m)
+        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
+            dynamics.census_table(m, 6)
         _, derived = dynamics.census_graph(m, k_max=6)
-        assert derived == dynamics.census_naive(m, 6)
+        assert derived == naive
         assert dynamics.fixed_points(m) == {u for u in range(1, 101) if pow(7, u, 101) == u}
 
     def test_graph_census_against_oracle(self):

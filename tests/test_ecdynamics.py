@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import brute_orbit_structure, ec_brute_census, ec_brute_points, trial_primes_between
-from expcycles import ecdynamics
+from expcycles import dynamics, ecdynamics
 from expcycles.dynamics import FunctionalGraphSummary, MemoryBudgetError
 
 F5_CURVE = ecdynamics.CurveParams(5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
@@ -120,6 +120,9 @@ class TestCurveOrder:
         assert ecdynamics.curve_order(ecdynamics.CurveParams(5, 0, 1)) == 6
 
     def test_matches_double_loop(self):
+        assert ecdynamics.curve_order(ecdynamics.CurveParams(97, 3, 8)) == 1 + len(
+            ec_brute_points(97, 3, 8)
+        )
         rng = random.Random(42)
         for _ in range(20):
             p = rng.choice(trial_primes_between(5, 97))
@@ -138,12 +141,11 @@ class TestCurveOrder:
         with pytest.raises(MemoryBudgetError):
             ecdynamics.curve_order(ecdynamics.CurveParams(10007, 1, 1), mem_budget=100)
 
-    def test_python_fallback_path(self, monkeypatch):
-        monkeypatch.setattr(ecdynamics, "_NUMPY_MOD_LIMIT", 2)
-        assert ecdynamics.curve_order(F5_CURVE) == 9
-        assert ecdynamics.curve_order(ecdynamics.CurveParams(97, 3, 8)) == 1 + len(
-            ec_brute_points(97, 3, 8)
-        )
+    def test_refused_above_int64_limit(self, monkeypatch):
+        # refused even when the byte budget would admit the sweep
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
+        with pytest.raises(MemoryBudgetError, match="int64"):
+            ecdynamics.curve_order(ecdynamics.CurveParams(97, 3, 8), mem_budget=2**62)
 
 
 def _random_curve_no_points(rng, p):
@@ -192,7 +194,7 @@ class TestECApply:
     def test_table_matches_pointwise_apply(self):
         m = ecdynamics.ECExpMap(F5_CURVE, (0, 1))
         table = ecdynamics.ec_table(m)
-        assert table == [ecdynamics.ec_apply(m, u) for u in range(9)]
+        assert table.tolist() == [ecdynamics.ec_apply(m, u) for u in range(9)]
 
 
 class TestECCensus:
@@ -202,6 +204,23 @@ class TestECCensus:
         n_div, n_least = ec_brute_census(ecdynamics.ec_table(m), 9, 3)
         assert list(census.n_dividing) == n_div == [0, 0, 0, 3]
         assert list(census.n_least_period) == n_least
+
+    def test_against_brute_census(self):
+        # F5 with G = (0, 1) has x(G) = 0: the orbit of u = 1 falls into the 0 sink
+        sink = ecdynamics.ECExpMap(F5_CURVE, (0, 1))
+        assert ecdynamics.ec_table(sink)[1] == 0
+        maps = [sink]
+        rng = random.Random(46)
+        for _ in range(20):
+            curve, points = _random_curve(rng, rng.choice(trial_primes_between(5, 300)))
+            maps.append(ecdynamics.ECExpMap(curve, rng.choice(points[1:])))
+        for m in maps:
+            table = ecdynamics.ec_table(m).tolist()
+            for k_max in range(1, 7):
+                census = ecdynamics.ec_census(m, k_max)
+                n_div, n_least = ec_brute_census(table, m.n, k_max)
+                assert list(census.n_dividing) == n_div, (m, k_max)
+                assert list(census.n_least_period) == n_least, (m, k_max)
 
     def test_divisor_monotonicity(self):
         rng = random.Random(44)

@@ -189,13 +189,15 @@ class TestThreePeriodicSet:
         m = dynamics.ExpMap(7, 3)
         assert lemmas.three_periodic_set(m, "least") == {1, 3, 6}
         assert lemmas.three_periodic_set(m, "dividing") == {1, 2, 3, 4, 5, 6}
-
-    def test_list_table_fallback(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 2)
         m = dynamics.ExpMap(19, 2)
         assert lemmas.three_periodic_set(m, "least") == {6, 7, 11, 12, 14, 15}
-        report = lemmas.thm3_verify(19, 2, "least")
-        assert report.x_set == {14} and report.all_ok
+
+    def test_refused_above_int64_limit(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 18)
+        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
+            lemmas.three_periodic_set(dynamics.ExpMap(19, 2), "least")
+        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
+            lemmas.thm3_verify(19, 2, "least")
 
     def test_dividing_contains_fixed_points(self):
         rng = random.Random(33)
