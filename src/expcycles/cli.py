@@ -1,9 +1,12 @@
 """Batch front end: censuses, bound sweeps, lemma checks, curve analyses.
 
 Reports are newline-delimited JSON objects (default) or CSV with a
-header row, written to stdout or --out FILE. Exit codes: 0 for success
-with no violations, 1 when a checked inequality or claim fails on some
-instance, 2 for invalid input.
+header row, written to stdout or --out FILE row by row as the rows are
+produced. Every subcommand checks its arguments before the first row and
+then writes through _emit. Exit codes: 0 for success with no violations,
+1 when a checked inequality or claim fails on some instance, 2 for
+invalid input (nothing is written), 3 for an internal failure after the
+arguments were accepted (the rows already written are kept).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ DEFAULT_SEED = 42
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def fraction_decimal(value: Fraction) -> str:
@@ -55,29 +59,43 @@ def _select_gs(p: int, args) -> list[int]:
     return list(range(1, p))
 
 
-def _out_stream(args):
-    return open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+def _emit(args, results, columns: list[str], flatten) -> int:
+    """Write each (row, violated) result as it arrives; return the exit code.
 
-
-def _write_rows(args, rows: list[dict], columns: list[str], flatten) -> None:
-    stream = _out_stream(args)
+    1 if any row is violated, else 0. An exception raised while the
+    results are produced or written is internal: the rows written so far
+    stay, the error goes to stderr, and the exit code is 3.
+    """
+    stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    code = EXIT_OK
     try:
-        if getattr(args, "csv", False):
-            writer = csv.writer(stream)
+        writer = csv.writer(stream) if args.csv else None
+        if writer:
             writer.writerow(columns)
-            for row in rows:
+        for row, violated in results:
+            if writer:
                 writer.writerow(flatten(row))
-        else:
-            for row in rows:
+            else:
                 stream.write(json.dumps(row) + "\n")
+            if violated:
+                code = EXIT_VIOLATION
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     finally:
         if stream is not sys.stdout:
             stream.close()
+    return code
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
+
+
+def _require_kmax(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
 
 
 # ---------------------------------------------------------------- census
@@ -113,10 +131,9 @@ def _count_columns(k_max: int) -> list[str]:
     ]
 
 
-def _census_payload(p: int, g: int, k_max: int, mem_budget: int) -> dict:
-    m = dynamics.ExpMap(p, g)
+def _census_rows(m: dynamics.ExpMap, k_max: int, mem_budget: int):
     census, graph = _census_and_graph(m, k_max, mem_budget)
-    return {"p": p, "g": m.g, **_counts(census, k_max), "graph": graph}
+    yield {"p": m.p, "g": m.g, **_counts(census, k_max), "graph": graph}, False
 
 
 def _census_columns(k_max: int) -> list[str]:
@@ -145,9 +162,10 @@ def _census_flat(row: dict) -> list:
 
 def cmd_census(args) -> int:
     _require_prime(args.p)
-    row = _census_payload(args.p, args.g, args.kmax, args.mem_budget)
-    _write_rows(args, [row], _census_columns(args.kmax), _census_flat)
-    return EXIT_OK
+    m = dynamics.ExpMap(args.p, args.g)
+    _require_kmax(args.kmax)
+    return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
+                 _census_columns(args.kmax), _census_flat)
 
 
 # ---------------------------------------------------------- verify-bounds
@@ -201,12 +219,14 @@ def _bounds_task(task: tuple[int, int]) -> tuple[dict, bool]:
     return row, report.violated
 
 
-def _run_tasks(tasks, worker_fn, workers: int) -> list:
+def _run_tasks(tasks: list, worker_fn, workers: int):
+    """Yield worker_fn(task) for the tasks in order, each as soon as it is done."""
     if workers <= 1 or len(tasks) <= 1:
-        return [worker_fn(task) for task in tasks]
+        yield from map(worker_fn, tasks)
+        return
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(workers) as pool:
-        return pool.map(worker_fn, tasks, chunksize=chunk)
+        yield from pool.imap(worker_fn, tasks, chunksize=chunk)
 
 
 def _range_tasks(args) -> list[tuple[int, int]]:
@@ -219,15 +239,10 @@ def _range_tasks(args) -> list[tuple[int, int]]:
     return tasks
 
 
-def _write_checked(args, results: list[tuple[dict, bool]], columns: list[str], flatten) -> int:
-    """Write the rows of (row, violated) results; exit 1 if any row is violated."""
-    _write_rows(args, [row for row, _ in results], columns, flatten)
-    return EXIT_VIOLATION if any(violated for _, violated in results) else EXIT_OK
-
-
 def cmd_verify_bounds(args) -> int:
-    results = _run_tasks(_range_tasks(args), _bounds_task, args.workers)
-    return _write_checked(args, results, _BOUNDS_COLUMNS, _bounds_flat)
+    tasks = _range_tasks(args)
+    return _emit(args, _run_tasks(tasks, _bounds_task, args.workers),
+                 _BOUNDS_COLUMNS, _bounds_flat)
 
 
 # ----------------------------------------------------------------- sweep
@@ -255,16 +270,16 @@ def _sweep_flat(row: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
+    _require_kmax(args.kmax)
     tasks = [(p, g, args.kmax, args.mem_budget) for p, g in _range_tasks(args)]
-    results = _run_tasks(tasks, _sweep_task, args.workers)
-    return _write_checked(args, results, _sweep_columns(args.kmax), _sweep_flat)
+    return _emit(args, _run_tasks(tasks, _sweep_task, args.workers),
+                 _sweep_columns(args.kmax), _sweep_flat)
 
 
 # ----------------------------------------------------------------- lemma
 
-def cmd_lemma_fact1(args) -> int:
+def _fact1_rows(args, prime_pool: list[int]):
     rng = random.Random(args.seed)
-    prime_pool = primes_in_range(3, args.pmax)
     failures = []
     for _ in range(args.trials):
         p = rng.choice(prime_pool)
@@ -280,33 +295,39 @@ def cmd_lemma_fact1(args) -> int:
         "umax": args.umax,
         "failures": failures,
     }
-    _write_rows(args, [row], ["check", "trials", "seed", "failures"],
-                lambda r: [r["check"], r["trials"], r["seed"], len(r["failures"])])
-    return EXIT_VIOLATION if failures else EXIT_OK
+    yield row, bool(failures)
 
 
-def cmd_lemma_fact2(args) -> int:
-    g_values = args.g_list or [2]
-    rows = []
-    bad = False
+def cmd_lemma_fact1(args) -> int:
+    prime_pool = primes_in_range(3, args.pmax)
+    if not prime_pool or args.umax < 0:
+        raise ValueError("lemma fact1 needs --pmax >= 3 and --umax >= 0")
+    return _emit(args, _fact1_rows(args, prime_pool), ["check", "trials", "seed", "failures"],
+                 lambda r: [r["check"], r["trials"], r["seed"], len(r["failures"])])
+
+
+def _fact2_rows(g_values: list[int], pmax: int):
     for g in g_values:
         checked = 0
         violations: list[dict] = []
-        for p in primes_in_range(3, args.pmax):
+        for p in primes_in_range(3, pmax):
             if g > p - 1:
                 continue
             checked += p - 1
             for y in lemmas.fact2_violations(p, g):
                 violations.append({"p": p, "y": y})
-        bad = bad or bool(violations)
-        rows.append({"check": "fact2", "g": g, "pmax": args.pmax,
-                     "checked": checked, "violations": violations})
-    _write_rows(args, rows, ["check", "g", "pmax", "checked", "violations"],
-                lambda r: [r["check"], r["g"], r["pmax"], r["checked"], len(r["violations"])])
-    return EXIT_VIOLATION if bad else EXIT_OK
+        row = {"check": "fact2", "g": g, "pmax": pmax, "checked": checked,
+               "violations": violations}
+        yield row, bool(violations)
 
 
-def cmd_lemma_comb(args) -> int:
+def cmd_lemma_fact2(args) -> int:
+    return _emit(args, _fact2_rows(args.g_list or [2], args.pmax),
+                 ["check", "g", "pmax", "checked", "violations"],
+                 lambda r: [r["check"], r["g"], r["pmax"], r["checked"], len(r["violations"])])
+
+
+def _comb_rows(args):
     rng = random.Random(args.seed)
     failures = []
     for i in range(args.random):
@@ -323,14 +344,19 @@ def cmd_lemma_comb(args) -> int:
         "seed": args.seed,
         "failures": failures,
     }
-    _write_rows(args, [row], ["check", "instances", "nmax", "k", "seed", "failures"],
-                lambda r: [r["check"], r["instances"], r["nmax"], r["k"], r["seed"],
-                           len(r["failures"])])
-    return EXIT_VIOLATION if failures else EXIT_OK
+    yield row, bool(failures)
 
 
-def _thm3_dict(report: lemmas.Thm3ProofReport) -> dict:
-    return {
+def cmd_lemma_comb(args) -> int:
+    if args.nmax < 1 or args.k < 1:
+        raise ValueError("lemma comb needs --nmax >= 1 and --k >= 1")
+    return _emit(args, _comb_rows(args), ["check", "instances", "nmax", "k", "seed", "failures"],
+                 lambda r: [r["check"], r["instances"], r["nmax"], r["k"], r["seed"],
+                            len(r["failures"])])
+
+
+def _thm3_row(report: lemmas.Thm3ProofReport) -> tuple[dict, bool]:
+    row = {
         "p": report.p,
         "g": report.g,
         "m_semantics": report.m_semantics,
@@ -349,6 +375,7 @@ def _thm3_dict(report: lemmas.Thm3ProofReport) -> dict:
         "s_cardinality_ok": report.s_cardinality_ok,
         "all_ok": report.all_ok,
     }
+    return row, not report.all_ok
 
 
 _THM3_COLUMNS = [
@@ -365,77 +392,62 @@ def _thm3_flat(row: dict) -> list:
 def cmd_lemma_thm3(args) -> int:
     if args.p is not None:
         _require_prime(args.p)
-        primes = [args.p]
+        candidates = [args.p]
     else:
         if args.pmin is None or args.pmax is None:
             raise ValueError("lemma thm3 needs --p or both --pmin and --pmax")
         if args.pmin > args.pmax:
             raise ValueError(f"empty prime range: pmin={args.pmin} > pmax={args.pmax}")
-        primes = primes_in_range(max(args.pmin, 3), args.pmax)
-    rows = []
-    for p in primes:
-        if args.p is None and not (1 <= args.g <= p - 1 and is_primitive_root(args.g, p)):
-            continue  # sweep mode only covers primes where g is a primitive root
-        report = lemmas.thm3_verify(p, args.g, args.m_semantics)
-        rows.append(_thm3_dict(report))
-    _write_rows(args, rows, _THM3_COLUMNS, _thm3_flat)
-    return EXIT_OK if all(row["all_ok"] for row in rows) else EXIT_VIOLATION
-
-
-def cmd_lemma(args) -> int:
-    handlers = {
-        "fact1": cmd_lemma_fact1,
-        "fact2": cmd_lemma_fact2,
-        "comb": cmd_lemma_comb,
-        "thm3": cmd_lemma_thm3,
-    }
-    return handlers[args.which](args)
+        candidates = primes_in_range(max(args.pmin, 3), args.pmax)
+    # sweep mode only covers primes where g is a primitive root
+    primes = [p for p in candidates if 1 <= args.g <= p - 1 and is_primitive_root(args.g, p)]
+    if args.p is not None and not primes:
+        raise ValueError(f"g={args.g} is not a primitive root mod {args.p}")
+    rows = (_thm3_row(lemmas.thm3_verify(p, args.g, args.m_semantics)) for p in primes)
+    return _emit(args, rows, _THM3_COLUMNS, _thm3_flat)
 
 
 # -------------------------------------------------------------------- ec
 
-def cmd_ec(args) -> int:
-    curve = ecdynamics.CurveParams(args.p, args.a, args.b)
-    m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
+def _ec_rows(args, m: ecdynamics.ECExpMap):
     census = ecdynamics.ec_census(m, args.kmax)
     row = {
         "p": args.p,
-        "a": curve.a,
-        "b": curve.b,
+        "a": m.curve.a,
+        "b": m.curve.b,
         "gx": args.gx,
         "gy": args.gy,
         "n": m.n,
         "hasse_ok": ecdynamics.hasse_ok(args.p, m.n),
         **_counts(census, args.kmax),
     }
+    yield row, False
+
+
+def cmd_ec(args) -> int:
+    curve = ecdynamics.CurveParams(args.p, args.a, args.b)
+    m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
+    _require_kmax(args.kmax)
     head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
-    _write_rows(args, [row], head + _count_columns(args.kmax),
-                lambda r: [r[c] for c in head] + r["n_dividing"] + r["n_least_period"])
-    return EXIT_OK
+    return _emit(args, _ec_rows(args, m), head + _count_columns(args.kmax),
+                 lambda r: [r[c] for c in head] + r["n_dividing"] + r["n_least_period"])
 
 
 # ------------------------------------------------------------------- avg
+
+def _avg_rows(p: int, k: int):
+    per_g = [dynamics.census_table(dynamics.ExpMap(p, g), k).n_dividing[k] for g in range(1, p)]
+    total = sum(per_g)
+    yield {"p": p, "k": k, "total": total, "mean": total / (p - 1), "per_g": per_g}, False
+
 
 def cmd_avg(args) -> int:
     _require_prime(args.p)
     if args.k < 1:
         raise ValueError("k must be >= 1")
-    per_g = []
-    for g in range(1, args.p):
-        census = dynamics.census_table(dynamics.ExpMap(args.p, g), args.k)
-        per_g.append(census.n_dividing[args.k])
-    total = sum(per_g)
-    row = {
-        "p": args.p,
-        "k": args.k,
-        "total": total,
-        "mean": total / (args.p - 1),
-        "per_g": per_g,
-    }
-    _write_rows(args, [row], ["p", "k", "total", "mean", "per_g"],
-                lambda r: [r["p"], r["k"], r["total"], r["mean"],
-                           ";".join(map(str, r["per_g"]))])
-    return EXIT_OK
+    return _emit(args, _avg_rows(args.p, args.k), ["p", "k", "total", "mean", "per_g"],
+                 lambda r: [r["p"], r["k"], r["total"], r["mean"],
+                            ";".join(map(str, r["per_g"]))])
 
 
 # ---------------------------------------------------------------- parser
@@ -495,14 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--pmax", type=int, default=10**4)
     w.add_argument("--umax", type=int, default=10**7)
     _add_output_flags(w)
-    w.set_defaults(func=cmd_lemma, which="fact1")
+    w.set_defaults(func=cmd_lemma_fact1)
 
     w = which.add_parser("fact2", help="floor-jump implication, exhaustive over y")
     w.add_argument("--pmax", type=int, default=10**4)
     w.add_argument("--g", dest="g_list", type=_parse_g_values, metavar="LIST",
                    help='g values, e.g. "2..13"')
     _add_output_flags(w)
-    w.set_defaults(func=cmd_lemma, which="fact2")
+    w.set_defaults(func=cmd_lemma_fact2)
 
     w = which.add_parser("comb", help="randomized interval-lemma instances")
     w.add_argument("--random", type=int, default=1000)
@@ -510,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--k", type=int, default=2)
     w.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_flags(w)
-    w.set_defaults(func=cmd_lemma, which="comb")
+    w.set_defaults(func=cmd_lemma_comb)
 
     w = which.add_parser("thm3", help="3-cycle proof harness on one prime or a range")
     w.add_argument("--p", type=int)
@@ -519,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--g", type=int, required=True)
     w.add_argument("--m-semantics", choices=list(lemmas.M_SEMANTICS), default="least")
     _add_output_flags(w)
-    w.set_defaults(func=cmd_lemma, which="thm3")
+    w.set_defaults(func=cmd_lemma_thm3)
 
     sub = subs.add_parser("ec", help="curve order, Hasse check and analogue-map census")
     sub.add_argument("--p", type=int, required=True)

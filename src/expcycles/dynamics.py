@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -155,12 +154,18 @@ def orbit(m: ExpMap, u0: int) -> OrbitRecord:
     return OrbitRecord(start=u0, tail_length=mu, cycle_length=lam, entry_point=tortoise)
 
 
-def _census_range(args: tuple[int, int, int, int, int]) -> tuple[list[int], list[int]]:
-    """Census counts over the starting values lo <= u0 < hi (one worker's share)."""
-    p, g, lo, hi, k_max = args
+def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
+    """Count u0 with u_k == u0 for each k <= k_max by direct iteration.
+
+    The definitional route: O(p * k_max) map applications, O(1) extra
+    memory.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    p, g = m.p, m.g
     n_div = [0] * (k_max + 1)
     n_least = [0] * (k_max + 1)
-    for u in range(lo, hi):
+    for u in range(1, p):
         v = u
         least = 0
         for k in range(1, k_max + 1):
@@ -171,30 +176,6 @@ def _census_range(args: tuple[int, int, int, int, int]) -> tuple[list[int], list
                     least = k
         if least:
             n_least[least] += 1
-    return n_div, n_least
-
-
-def census_naive(m: ExpMap, k_max: int, workers: int = 1) -> CycleCensus:
-    """Count u0 with u_k == u0 for each k <= k_max by direct iteration.
-
-    The definitional route: O(p * k_max) map applications, O(1) extra
-    memory per worker. {1,...,p-1} is split into contiguous chunks whose
-    counts merge by summation, so the result never depends on workers.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    p, g = m.p, m.g
-    if workers == 1:
-        n_div, n_least = _census_range((p, g, 1, p, k_max))
-    else:
-        bounds = [1 + (p - 1) * i // workers for i in range(workers + 1)]
-        tasks = [(p, g, bounds[i], bounds[i + 1], k_max) for i in range(workers)]
-        with Pool(workers) as pool:
-            parts = pool.map(_census_range, tasks)
-        n_div = [sum(part[0][k] for part in parts) for k in range(k_max + 1)]
-        n_least = [sum(part[1][k] for part in parts) for k in range(k_max + 1)]
     return CycleCensus(k_max, tuple(n_div), tuple(n_least))
 
 
@@ -227,16 +208,11 @@ def _require_int64_exact(p: int) -> None:
 def exp_table(m: ExpMap) -> np.ndarray:
     """Table T with T[u] = g**u mod p for u in 1..p-1; T[0] is a 0 sentinel.
 
-    Vectorized baby/giant block construction in int64; p above
-    _NUMPY_MOD_LIMIT raises MemoryBudgetError.
+    Built in place by _pow_range in int64; p above _NUMPY_MOD_LIMIT
+    raises MemoryBudgetError.
     """
-    p, g = m.p, m.g
-    _require_int64_exact(p)
-    b = math.isqrt(p) + 1
-    baby = _pow_range(g, b, p)
-    giants = _pow_range(pow(g, b, p), (p + b - 1) // b, p)
-    table = (giants[:, None] * baby[None, :]) % p
-    table = table.reshape(-1)[:p].copy()
+    _require_int64_exact(m.p)
+    table = _pow_range(m.g, m.p, m.p)
     table[0] = 0
     return table
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import brute_census
-from expcycles import bounds, cli
+from expcycles import bounds, cli, dynamics
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +128,14 @@ class TestSweepCommand:
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert [r["p"] for r in rows] == [11, 13]
 
+    @pytest.mark.parametrize("kmax", ["0", "-2"])
+    def test_kmax_below_1_rejected(self, capsys, kmax):
+        code, out, err = run_cli(capsys, "sweep", "--pmin", "11", "--pmax", "11",
+                                 "--g-list", "2", "--kmax", kmax, "--csv")
+        assert code == 2
+        assert out == ""
+        assert "k_max must be >= 1" in err
+
 
 class TestReportPath:
     # sha256 of stdout in three report formats; a changed digest is a
@@ -157,6 +165,68 @@ class TestReportPath:
         code, out, _ = run_cli(capsys, command, "--pmin", "11", "--pmax", "11", "--g-list", "2")
         assert code == 1
         assert json_rows(out)[0]["flags"]["thm1"] is False
+
+
+class TestInternalFailure:
+    # rows are written as they are produced, so an exception after the
+    # arguments were accepted keeps the rows before it and exits 3
+    ARGS = ("verify-bounds", "--pmin", "11", "--pmax", "19", "--g-list", "2")
+
+    @pytest.fixture
+    def fail_at_17(self, monkeypatch):
+        verify = bounds.verify
+
+        def failing_verify(m, census=None):
+            if m.p == 17:
+                raise RuntimeError("boom at p=17")
+            return verify(m, census)
+
+        monkeypatch.setattr(bounds, "verify", failing_verify)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rows_before_failure_kept(self, capsys, fail_at_17, workers):
+        code, out, err = run_cli(capsys, *self.ARGS, "--workers", workers)
+        assert code == 3
+        assert [(r["p"], r["g"]) for r in json_rows(out)] == [(11, 2), (13, 2)]
+        assert err.startswith("internal error:")
+        assert "boom at p=17" in err
+
+    def test_rows_before_failure_kept_in_out_file(self, capsys, tmp_path, fail_at_17):
+        target = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, *self.ARGS, "--csv", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error:")
+        lines = target.read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines] == [["p", "g"], ["11", "2"], ["13", "2"]]
+
+    def test_failure_after_violation_exits_3(self, capsys, monkeypatch, fail_at_17):
+        monkeypatch.setattr(bounds, "thm1_holds", lambda p, n1: False)
+        code, out, err = run_cli(capsys, *self.ARGS)
+        assert code == 3
+        assert [r["flags"]["thm1"] for r in json_rows(out)] == [False, False]
+        assert err.startswith("internal error:")
+
+    def test_single_row_command_failure_exits_3(self, capsys, monkeypatch):
+        def failing_census_graph(*args, **kwargs):
+            raise RuntimeError("boom in the graph pass")
+
+        monkeypatch.setattr(dynamics, "census_graph", failing_census_graph)
+        code, out, err = run_cli(capsys, "census", "--p", "11", "--g", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-bounds", "--pmin", "100", "--pmax", "50"),
+        ("sweep", "--pmin", "11", "--pmax", "11", "--kmax", "0"),
+        ("census", "--p", "4", "--g", "2"),
+    ], ids=["verify-bounds", "sweep", "census"])
+    def test_usage_error_creates_no_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not target.exists()
 
 
 class TestLemmaCommands:
@@ -209,6 +279,17 @@ class TestLemmaCommands:
     def test_thm3_missing_range_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "lemma", "thm3", "--g", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("fact1", "--trials", "5", "--pmax", "2"),
+        ("fact1", "--trials", "5", "--umax", "-1"),
+        ("comb", "--random", "5", "--nmax", "0"),
+        ("comb", "--random", "5", "--k", "0"),
+    ], ids=["fact1-pmax", "fact1-umax", "comb-nmax", "comb-k"])
+    def test_bad_ranges_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "lemma", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
 
 class TestECCommand:

@@ -106,12 +106,6 @@ class TestCensusNaive:
         c = dynamics.census_naive(dynamics.ExpMap(13, 1), 4)
         assert c.n_dividing[1:] == (1, 1, 1, 1)
 
-    def test_workers_do_not_change_counts(self):
-        m = dynamics.ExpMap(211, 3)
-        reference = dynamics.census_naive(m, 4)
-        for workers in (2, 3):
-            assert dynamics.census_naive(m, 4, workers=workers) == reference
-
     def test_dividing_is_sum_over_least_divisors(self):
         rng = random.Random(4)
         for _ in range(40):
