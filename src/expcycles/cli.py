@@ -6,7 +6,9 @@ produced. Every subcommand checks its arguments before the first row and
 then writes through _emit. Exit codes: 0 for success with no violations,
 1 when a checked inequality or claim fails on some instance, 2 for
 invalid input (nothing is written), 3 for an internal failure after the
-arguments were accepted (the rows already written are kept).
+arguments were accepted (the rows already written are kept), and 141
+(128 + SIGPIPE) with nothing on stderr when the reader of stdout closes
+the pipe early, as `... | head -1` does.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 def fraction_decimal(value: Fraction) -> str:
@@ -62,11 +66,16 @@ def _select_gs(p: int, args) -> list[int]:
 def _emit(args, results, columns: list[str], flatten) -> int:
     """Write each (row, violated) result as it arrives; return the exit code.
 
-    1 if any row is violated, else 0. An exception raised while the
-    results are produced or written is internal: the rows written so far
-    stay, the error goes to stderr, and the exit code is 3.
+    1 if any row is violated, else 0. An --out FILE that cannot be opened
+    is invalid input (ValueError, before the first row). A closed stdout
+    pipe ends the run quietly with 141. Any other exception raised while
+    the results are produced or written is internal: the rows written so
+    far stay, the error goes to stderr, and the exit code is 3.
     """
-    stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     code = EXIT_OK
     try:
         writer = csv.writer(stream) if args.csv else None
@@ -79,6 +88,15 @@ def _emit(args, results, columns: list[str], flatten) -> int:
                 stream.write(json.dumps(row) + "\n")
             if violated:
                 code = EXIT_VIOLATION
+        stream.flush()
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so the flush
+        # at interpreter exit does not raise again
+        if stream is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        code = EXIT_BROKEN_PIPE
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         code = EXIT_INTERNAL

@@ -6,8 +6,16 @@ For a base point G and the group size N, the analogue map sends
 u -> x(uG) mod N on {0,...,N-1}, with x(O) assigned the value 0 so that
 iteration is total. Censuses count starting values in {1,...,N-1},
 mirroring the prime case: ec_census runs the shared table census of
-dynamics on ec_table. curve_order, like dynamics.exp_table, refuses p
-above the int64-exact limit dynamics._NUMPY_MOD_LIMIT.
+dynamics on ec_table.
+
+ec_table builds all N points by block doubling in numpy, as
+dynamics._pow_range builds powers: the points 0..f-1 plus fG give the
+points f..2f-1, by affine addition on int64 coordinate arrays where
+x = p stands for the point at infinity. point_add and scalar_mul stay the
+scalar group law; ec_apply, one scalar_mul per value, is the independent
+check of the table. ec_table and curve_order, like dynamics.exp_table,
+refuse p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT, where
+their products would overflow silently.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ from .dynamics import (
 from .modarith import check_prime_modulus
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
+
+# Elements per vectorized point-addition step of ec_table; its temporaries
+# stay a few MB whatever N is.
+_EC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,15 +173,73 @@ def ec_apply(m: ECExpMap, u: int) -> int:
     return 0 if point is None else point[0] % m.n
 
 
+def _fermat_inverse(d: np.ndarray, p: int) -> np.ndarray:
+    """d**(p-2) mod p elementwise by square-and-multiply; 0 maps to 0."""
+    result = np.ones_like(d)
+    square = d.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            result *= square
+            result %= p
+        e >>= 1
+        if e:
+            square *= square
+            square %= p
+    return result
+
+
+def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
+               x3: np.ndarray, y3: np.ndarray) -> None:
+    """(x3, y3) = (x1, y1) + q elementwise; x == p marks the point at infinity."""
+    p = curve.p
+    if q is None:
+        x3[:] = x1
+        y3[:] = y1
+        return
+    qx, qy = q
+    p_inf = x1 == p
+    same_x = x1 == qx
+    # P = -Q (which covers P = Q with y = 0) gives O; P = Q takes the tangent
+    to_inf = same_x & ((y1 + qy) % p == 0)
+    tangent = same_x & ~to_inf
+    num = (qy - y1) % p
+    den = (qx - x1) % p
+    num[tangent] = (x1[tangent] * x1[tangent] % p * 3 + curve.a) % p
+    den[tangent] = 2 * y1[tangent] % p
+    slope = num * _fermat_inverse(den, p) % p
+    x3[:] = (slope * slope - x1 - qx) % p
+    y3[:] = (slope * (x1 - x3) - y1) % p
+    x3[p_inf], y3[p_inf] = qx, qy
+    x3[to_inf], y3[to_inf] = p, 0
+
+
 def ec_table(m: ECExpMap) -> np.ndarray:
-    """int64 table t with t[u] = x(uG) mod N for u in 0..N-1, by running addition."""
-    table = np.zeros(m.n, dtype=np.int64)
-    point: Point = None
-    for u in range(1, m.n):
-        point = point_add(m.curve, point, m.gen)
-        if point is not None:
-            table[u] = point[0] % m.n
-    return table
+    """int64 table t with t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0.
+
+    Built by block doubling, like dynamics._pow_range: once the points
+    0..f-1 are known, the next block is P[i] + fG. Each block is affine
+    addition on int64 coordinate arrays in chunks of _EC_CHUNK, with x = p
+    marking O and all slope denominators of a chunk inverted by Fermat.
+    p above the int64-exact limit raises MemoryBudgetError.
+    """
+    p, n = m.curve.p, m.n
+    _require_int64_exact(p)
+    xs = np.empty(n, dtype=np.int64)
+    ys = np.empty(n, dtype=np.int64)
+    xs[0], ys[0] = p, 0
+    filled = 1
+    while filled < n:
+        take = min(filled, n - filled)
+        q = scalar_mul(m.curve, filled, m.gen)
+        for lo in range(0, take, _EC_CHUNK):
+            hi = min(lo + _EC_CHUNK, take)
+            _add_block(m.curve, xs[lo:hi], ys[lo:hi], q,
+                       xs[filled + lo : filled + hi], ys[filled + lo : filled + hi])
+        filled += take
+    xs[xs == p] = 0
+    xs %= n
+    return xs
 
 
 def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +230,57 @@ class TestInternalFailure:
         assert code == 2
         assert err.startswith("error:")
         assert not target.exists()
+
+    def test_unwritable_out_rejected_before_first_row(self, capsys, monkeypatch, tmp_path):
+        # the graph pass would fail (exit 3) if it ran before --out is opened
+        def failing_census_graph(*args, **kwargs):
+            raise RuntimeError("boom in the graph pass")
+
+        monkeypatch.setattr(dynamics, "census_graph", failing_census_graph)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "census", "--p", "11", "--g", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out")
+
+
+class TestBrokenPipe:
+    # a reader that stops early (`... | head -1`) is not a failure of the run
+    ARGS = ["verify-bounds", "--pmin", "3", "--pmax", "3000", "--g-list", "2,3"]
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    def test_closed_stdout_exits_141_quietly(self, capsys, monkeypatch, tmp_path):
+        sink = tmp_path / "stdout"
+        with open(sink, "wb") as raw:
+            monkeypatch.setattr(sys, "stdout", self.ClosedPipe(raw.fileno()))
+            code = cli.main(self.ARGS)
+            os.write(raw.fileno(), b"after")  # the descriptor now points at devnull
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+        assert sink.read_bytes() == b""
+
+    def test_head_closes_pipe(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-m", "expcycles.cli", *self.ARGS],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert json.loads(first)["p"] == 3
+        assert err == b""
 
 
 class TestLemmaCommands:

@@ -192,9 +192,40 @@ class TestECApply:
             ecdynamics.ec_apply(m, -1)
 
     def test_table_matches_pointwise_apply(self):
-        m = ecdynamics.ECExpMap(F5_CURVE, (0, 1))
+        # every base point on curves with p = 1 and 3 mod 4, including N prime
+        # (13, 0, 2) and p = N (97, 1, 1), 2-torsion bases with y = 0 and bases
+        # of order below N, whose doubling blocks add Q = O and P = +-Q
+        curves = [(5, 1, 1), (7, 0, 1), (11, 3, 3), (13, 0, 1), (13, 0, 2),
+                  (97, 1, 1), (97, 2, 3), (101, 1, 1), (103, 0, 3), (103, 2, 3)]
+        residues, two_torsion, proper_order = set(), 0, 0
+        for p, a, b in curves:
+            curve = ecdynamics.CurveParams(p, a, b)
+            n = ecdynamics.curve_order(curve)
+            for base in ec_brute_points(p, a, b):
+                m = ecdynamics.ECExpMap(curve, base, n=n)
+                expected = [ecdynamics.ec_apply(m, u) for u in range(n)]
+                assert ecdynamics.ec_table(m).tolist() == expected, (p, a, b, base)
+                residues.add(p % 4)
+                two_torsion += base[1] == 0
+                proper_divisors = [d for d in range(1, n) if n % d == 0]
+                proper_order += any(
+                    ecdynamics.scalar_mul(curve, d, base) is None for d in proper_divisors
+                )
+        assert residues == {1, 3} and two_torsion > 0 and proper_order > 0
+
+    def test_table_matches_apply_at_benchmark_size(self):
+        m = ecdynamics.ECExpMap(ecdynamics.CurveParams(2000003, 2, 3), (0, 919159))
         table = ecdynamics.ec_table(m)
-        assert table.tolist() == [ecdynamics.ec_apply(m, u) for u in range(9)]
+        rng = random.Random(47)
+        for u in [0, 1, 2, m.n - 1] + rng.sample(range(m.n), 2000):
+            assert table[u] == ecdynamics.ec_apply(m, u), u
+
+    def test_table_refused_above_int64_limit(self, monkeypatch):
+        # a supplied N skips curve_order and its check, so ec_table checks itself
+        m = ecdynamics.ECExpMap(ecdynamics.CurveParams(97, 3, 8), (1, 20), n=112)
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
+        with pytest.raises(MemoryBudgetError, match="int64"):
+            ecdynamics.ec_table(m)
 
 
 class TestECCensus:
