@@ -49,9 +49,7 @@ from .lemmas import (
 from .modarith import (
     discrete_log,
     is_prime,
-    mul_mod,
     multiplicative_order,
-    pow_mod,
     primitive_root,
 )
 
@@ -83,11 +81,9 @@ __all__ = [
     "fixed_points",
     "is_prime",
     "iterate",
-    "mul_mod",
     "multiplicative_order",
     "orbit",
     "point_add",
-    "pow_mod",
     "primitive_root",
     "scalar_mul",
     "thm1_bound",

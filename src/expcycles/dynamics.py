@@ -1,25 +1,25 @@
 """The repeated-exponentiation dynamical system u -> g**u mod p.
 
 The map acts on {1,...,p-1}. Three independent routes to the short-cycle
-census are provided: definitional brute force (census_naive), a
-vectorized scan of the exponent table (census_table), and a full
-functional-graph decomposition (census_graph). They must agree; the test
-suite holds them to that.
+census are provided: definitional brute force (census_naive), k-fold
+composition of a value table (census_table), and a full functional-graph
+decomposition (census_graph). They must agree; the test suite holds them
+to that.
 
-The table route is shared with the elliptic-curve analogue: any map
-given as a value table on {0,...,n-1} is censused by _census_from_table
-over the starts {1,...,n-1}. A table of size p needs int64-exact
-products, so exp_table refuses p above _NUMPY_MOD_LIMIT (about 3.04e9,
-where the table alone would exceed 24 GB); census_naive and census_graph
-still run there.
-
-The graph route never builds a table of size p. All cycles lie in the
+Neither fast route builds a table of size p. All cycles lie in the
 image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
-one tail step. decompose_table finds the cycles, tails and cycle lengths
-of S in O(log) numpy passes of repeated squaring and pointer jumping.
-The memory budget charges about 40 bytes per element of <g>, not per
-element of {1,...,p-1}.
+one tail step. census_table and fixed_points scan S; decompose_table
+finds the cycles, tails and cycle lengths of S in O(log) numpy passes.
+The graph budget charges about 40 bytes per element of <g>.
+
+The table census is shared with the elliptic-curve analogue: any map
+given as a value table on {0,...,n-1} is censused by _census_from_table
+from a given first start (0 for S, 1 for the curve map). Only exp_table,
+the full table g**u mod p that lemmas uses, refuses p above
+_NUMPY_MOD_LIMIT (about 3.04e9, where its int64 products stop being
+exact and the table alone would exceed 24 GB); above it _subgroup_map
+runs in Python, so every census route and fixed_points still run.
 """
 
 from __future__ import annotations
@@ -225,30 +225,33 @@ def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
     return n_least
 
 
-def _census_from_table(table: np.ndarray, k_max: int) -> CycleCensus:
-    """CycleCensus of u -> table[u] over the starts {1,...,len(table)-1}.
+def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus:
+    """CycleCensus of u -> table[u] over the starts {start,...,len(table)-1}.
 
     k-fold composition by gathers; the one census loop behind both the
-    prime map (census_table) and the curve map (ecdynamics.ec_census).
+    prime map (census_table, start 0) and the curve map
+    (ecdynamics.ec_census, start 1).
     """
     n_div = [0] * (k_max + 1)
-    base = np.arange(1, len(table), dtype=np.int64)
-    cur = base
+    base = np.arange(start, len(table), dtype=table.dtype)
+    cur = table[start:]  # table[base] without a gather
     for k in range(1, k_max + 1):
-        cur = table[cur]
+        if k > 1:
+            cur = table[cur]
         n_div[k] = int(np.count_nonzero(cur == base))
     return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
 
 
 def census_table(m: ExpMap, k_max: int) -> CycleCensus:
-    """CycleCensus via k-fold composition of the exponent table.
+    """CycleCensus via k-fold composition of the subgroup map S.
 
-    Counting semantics identical to census_naive; this is the fast path
-    the bound sweeps use.
+    Every periodic point lies in <g>, where S is conjugate to the map (see
+    _subgroup_map), so the census of S over all of {0,...,t-1} (e = 0 is
+    u = 1) equals census_naive. This is the fast path the bound sweeps use.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _census_from_table(exp_table(m), k_max)
+    return _census_from_table(_subgroup_map(m, multiplicative_order(m.g, m.p)), k_max, 0)
 
 
 def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,19 +428,13 @@ def census_graph(
 
 
 def fixed_points(m: ExpMap) -> set[int]:
-    """{u : g**u == u (mod p)}; its cardinality is the k=1 census entry."""
-    p, g = m.p, m.g
-    if p <= _NUMPY_MOD_LIMIT and 8 * p <= DEFAULT_MEM_BUDGET:
-        table = exp_table(m)
-        hits = np.nonzero(table[1:] == np.arange(1, p, dtype=np.int64))[0]
-        return {int(i) + 1 for i in hits}
-    out = set()
-    v = 1
-    for u in range(1, p):
-        v = v * g % p
-        if v == u:
-            out.add(u)
-    return out
+    """{u : g**u == u (mod p)}; its cardinality is the k=1 census entry.
+
+    Each such u = g**u lies in <g>: it is g**e for a fixed point e of S.
+    """
+    table = _subgroup_map(m, multiplicative_order(m.g, m.p))
+    hits = np.flatnonzero(table == np.arange(len(table), dtype=table.dtype))
+    return {pow(m.g, int(e), m.p) for e in hits}
 
 
 def fixed_point_counts_all_bases(p: int) -> np.ndarray:

@@ -11,11 +11,12 @@ dynamics on ec_table.
 ec_table builds all N points by block doubling in numpy, as
 dynamics._pow_range builds powers: the points 0..f-1 plus fG give the
 points f..2f-1, by affine addition on int64 coordinate arrays where
-x = p stands for the point at infinity. point_add and scalar_mul stay the
-scalar group law; ec_apply, one scalar_mul per value, is the independent
-check of the table. ec_table and curve_order, like dynamics.exp_table,
-refuse p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT, where
-their products would overflow silently.
+x = p stands for the point at infinity; the first blocks are scalar
+additions. point_add and scalar_mul stay the scalar group law; ec_apply,
+one scalar_mul per value, is the independent check of the table.
+ec_table and curve_order, like dynamics.exp_table, refuse p above the
+int64-exact limit dynamics._NUMPY_MOD_LIMIT, where their products would
+overflow silently.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ Point = Optional[tuple[int, int]]  # None is the point at infinity
 # Elements per vectorized point-addition step of ec_table; its temporaries
 # stay a few MB whatever N is.
 _EC_CHUNK = 1 << 16
+
+# Points ec_table adds by scalar point_add before block doubling: below
+# this size a block's fixed log2 p steps of _fermat_inverse cost more.
+_EC_SCALAR_BASE = 128
 
 
 @dataclass(frozen=True)
@@ -218,17 +223,23 @@ def ec_table(m: ECExpMap) -> np.ndarray:
     """int64 table t with t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0.
 
     Built by block doubling, like dynamics._pow_range: once the points
-    0..f-1 are known, the next block is P[i] + fG. Each block is affine
-    addition on int64 coordinate arrays in chunks of _EC_CHUNK, with x = p
-    marking O and all slope denominators of a chunk inverted by Fermat.
-    p above the int64-exact limit raises MemoryBudgetError.
+    0..f-1 are known, the next block is P[i] + fG; the base case, the
+    first _EC_SCALAR_BASE points, is a running sum of scalar point_add.
+    Each block is affine addition on int64 coordinate arrays in chunks of
+    _EC_CHUNK, with x = p marking O and all slope denominators of a chunk
+    inverted by Fermat. p above the int64-exact limit raises
+    MemoryBudgetError.
     """
     p, n = m.curve.p, m.n
     _require_int64_exact(p)
     xs = np.empty(n, dtype=np.int64)
     ys = np.empty(n, dtype=np.int64)
-    xs[0], ys[0] = p, 0
-    filled = 1
+    filled = min(n, _EC_SCALAR_BASE)
+    points: list[Point] = [None]
+    for _ in range(1, filled):
+        points.append(point_add(m.curve, points[-1], m.gen))
+    xs[:filled] = [p if pt is None else pt[0] for pt in points]
+    ys[:filled] = [0 if pt is None else pt[1] for pt in points]
     while filled < n:
         take = min(filled, n - filled)
         q = scalar_mul(m.curve, filled, m.gen)
@@ -250,7 +261,7 @@ def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _census_from_table(ec_table(m), k_max)
+    return _census_from_table(ec_table(m), k_max, 1)
 
 
 def ec_census_graph(

@@ -21,16 +21,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 10**6
 
 
-def mul_mod(a: int, b: int, m: int) -> int:
-    """(a*b) mod m. Python integers widen, so the product is exact."""
-    return a * b % m
-
-
-def pow_mod(b: int, e: int, m: int) -> int:
-    """b**e mod m for e >= 0 by square-and-multiply; pow_mod(b, 0, m) == 1 % m."""
-    return pow(b, e, m)
-
-
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for all 0 <= n < 2**64.

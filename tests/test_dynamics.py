@@ -152,13 +152,31 @@ class TestCensusRoutes:
             m = dynamics.ExpMap(p, g)
             assert dynamics.census_table(m, 6) == dynamics.census_naive(m, 6)
 
+    def test_table_census_against_oracle_proper_subgroups(self):
+        # the table census runs on <g>; check bases of index >= 2 against
+        # the brute-force census over all of {1,...,p-1}
+        rng = random.Random(15)
+        for p in [1009, 2003] + rng.sample(trial_primes_between(100, 2003), 4):
+            h = rng.randint(2, p - 2)
+            for g in (h * h % p, pow(h, 6, p), p - 1):
+                if g == 1:
+                    continue
+                assert (p - 1) // brute_order(g, p) >= 2
+                census = dynamics.census_table(dynamics.ExpMap(p, g), 4)
+                n_div, n_least = brute_census(p, g, 4)
+                assert list(census.n_dividing) == n_div, (p, g)
+                assert list(census.n_least_period) == n_least, (p, g)
+
     def test_graph_equals_naive_exhaustive_small(self):
+        # both routes on <g>; every g covers t = 1 (g = 1), t = 2 (g = p-1),
+        # proper subgroups and primitive roots
         for p in trial_primes_between(3, 59):
             for g in range(1, p):
                 m = dynamics.ExpMap(p, g)
                 naive = dynamics.census_naive(m, 4)
                 _, derived = dynamics.census_graph(m, k_max=4)
                 assert derived == naive, (p, g)
+                assert dynamics.census_table(m, 4) == naive, (p, g)
 
     def test_routes_agree_beyond_small_range(self):
         for p, g in [(10007, 5), (20011, 2)]:
@@ -172,16 +190,28 @@ class TestCensusRoutes:
         m = dynamics.ExpMap(101, 7)
         naive = dynamics.census_naive(m, 6)
         assert dynamics.census_table(m, 6) == naive
-        # the limit lowered just below p stands in for p > 3.04e9: the table
-        # routes refuse, the graph route and fixed_points still run
+        # the limit lowered just below p stands in for p > 3.04e9: exp_table
+        # refuses; the routes on <g> build S in Python and still run
         monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 100)
         with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
             dynamics.exp_table(m)
-        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
-            dynamics.census_table(m, 6)
+        assert dynamics.census_table(m, 6) == naive
         _, derived = dynamics.census_graph(m, k_max=6)
         assert derived == naive
         assert dynamics.fixed_points(m) == {u for u in range(1, 101) if pow(7, u, 101) == u}
+
+    def test_python_subgroup_map_agrees(self, monkeypatch):
+        # every prime here exceeds the lowered limit, so _subgroup_map takes
+        # its Python branch; g = 1, p-1, proper subgroups and primitive roots
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 4)
+        for p in (5, 13, 31, 61, 101):
+            for g in range(1, p):
+                m = dynamics.ExpMap(p, g)
+                naive = dynamics.census_naive(m, 4)
+                assert dynamics.census_table(m, 4) == naive, (p, g)
+                fixed = dynamics.fixed_points(m)
+                assert fixed == {u for u in range(1, p) if pow(g, u, p) == u}, (p, g)
+                assert len(fixed) == naive.n_dividing[1], (p, g)
 
     def test_graph_census_against_oracle(self):
         rng = random.Random(8)
@@ -295,6 +325,12 @@ class TestFixedPoints:
         assert dynamics.fixed_points(dynamics.ExpMap(7, 3)) == {2, 4, 5}
         assert dynamics.fixed_points(dynamics.ExpMap(11, 2)) == {7}
         assert dynamics.fixed_points(dynamics.ExpMap(7, 2)) == set()
+
+    def test_every_base_below_100(self):
+        for p in trial_primes_between(3, 99):
+            for g in range(1, p):
+                expected = {u for u in range(1, p) if pow(g, u, p) == u}
+                assert dynamics.fixed_points(dynamics.ExpMap(p, g)) == expected, (p, g)
 
     def test_count_matches_census(self):
         rng = random.Random(12)

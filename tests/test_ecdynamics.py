@@ -191,10 +191,11 @@ class TestECApply:
         with pytest.raises(ValueError):
             ecdynamics.ec_apply(m, -1)
 
-    def test_table_matches_pointwise_apply(self):
+    def test_table_matches_pointwise_apply(self, monkeypatch):
         # every base point on curves with p = 1 and 3 mod 4, including N prime
         # (13, 0, 2) and p = N (97, 1, 1), 2-torsion bases with y = 0 and bases
-        # of order below N, whose doubling blocks add Q = O and P = +-Q
+        # of order below N, whose doubling blocks add Q = O and P = +-Q; the
+        # scalar base case is cut short so that the blocks build these tables
         curves = [(5, 1, 1), (7, 0, 1), (11, 3, 3), (13, 0, 1), (13, 0, 2),
                   (97, 1, 1), (97, 2, 3), (101, 1, 1), (103, 0, 3), (103, 2, 3)]
         residues, two_torsion, proper_order = set(), 0, 0
@@ -204,7 +205,10 @@ class TestECApply:
             for base in ec_brute_points(p, a, b):
                 m = ecdynamics.ECExpMap(curve, base, n=n)
                 expected = [ecdynamics.ec_apply(m, u) for u in range(n)]
-                assert ecdynamics.ec_table(m).tolist() == expected, (p, a, b, base)
+                for scalar_base in (1, 5, ecdynamics._EC_SCALAR_BASE):
+                    monkeypatch.setattr(ecdynamics, "_EC_SCALAR_BASE", scalar_base)
+                    table = ecdynamics.ec_table(m).tolist()
+                    assert table == expected, (p, a, b, base, scalar_base)
                 residues.add(p % 4)
                 two_torsion += base[1] == 0
                 proper_divisors = [d for d in range(1, n) if n % d == 0]

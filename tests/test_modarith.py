@@ -7,42 +7,6 @@ from conftest import brute_ind, brute_order, trial_prime, trial_primes_between
 from expcycles import modarith
 
 
-class TestMulMod:
-    def test_zero_absorbs(self):
-        assert modarith.mul_mod(0, 5, 7) == 0
-
-    def test_small(self):
-        assert modarith.mul_mod(3, 5, 7) == 1
-
-    def test_near_word_size(self):
-        a = (1 << 62) - 1
-        m = (1 << 63) - 25
-        assert modarith.mul_mod(a, a, m) == a * a % m == 2305843009213694078
-
-
-class TestPowMod:
-    def test_exponent_zero(self):
-        for g, p in [(3, 7), (2, 11), (10, 97)]:
-            assert modarith.pow_mod(g, 0, p) == 1
-
-    def test_small(self):
-        assert modarith.pow_mod(3, 5, 7) == 5  # 243 = 34*7 + 5
-
-    def test_fermat(self):
-        assert modarith.pow_mod(2, 10, 11) == 1
-
-    def test_matches_iterated_mul(self):
-        rng = random.Random(1)
-        for _ in range(40):
-            b = rng.randint(0, 10**6)
-            e = rng.randint(0, 10**4)
-            m = rng.randint(1, 10**6)
-            acc = 1 % m
-            for _ in range(e):
-                acc = modarith.mul_mod(acc, b, m)
-            assert modarith.pow_mod(b, e, m) == acc
-
-
 class TestIsPrime:
     @pytest.mark.parametrize("n,expected", [(0, False), (1, False), (2, True),
                                             (11, True), (561, False), (2003, True)])
