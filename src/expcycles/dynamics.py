@@ -10,8 +10,10 @@ Neither fast route builds a table of size p. All cycles lie in the
 image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
 one tail step. census_table and fixed_points scan S; decompose_table
-finds the cycles, tails and cycle lengths of S in O(log) numpy passes.
-The graph budget charges about 40 bytes per element of <g>.
+finds the cycles and the longest tail of S by peeling leaves (one numpy
+round per tail step, O(t) work in all) and the cycle lengths by
+log-depth pointer jumping. It returns (cycle_lengths, max_tail). The
+graph budget charges about 40 bytes per element of <g>.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -36,8 +38,10 @@ from .modarith import check_prime_modulus, multiplicative_order
 DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
-# indices (t <= 2**31); int64 indices double it. Measured peak RSS over
-# the interpreter baseline was 30-34 B per element for t = 1.4e6..2e7.
+# indices (t <= 2**31); int64 indices double it. Peak RSS over the
+# interpreter baseline (getrusage) was 25 and 21 B per element for the
+# proper subgroups t = 1.43e6 and 5e6, and 30 B for the permutations
+# t = 1e7 and 2e7, whose min-label pointer jumping runs on all t nodes.
 _GRAPH_BYTES_PER_NODE = 40
 
 # Largest modulus for which int64 products a*b with a, b < p stay exact.
@@ -254,19 +258,22 @@ def census_table(m: ExpMap, k_max: int) -> CycleCensus:
     return _census_from_table(_subgroup_map(m, multiplicative_order(m.g, m.p)), k_max, 0)
 
 
-def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     """Functional-graph decomposition of node -> table[node] on {lo,...,len-1}.
 
     The table must map that range into itself. Returns (cycle_lengths,
-    dist): one entry per cycle, and dist[i] the number of steps from node
-    lo + i to the first cyclic node (0 on cycles). Log-depth numpy
-    passes:
+    max_tail): one entry per cycle, and the most steps any node takes to
+    reach a cyclic node (0 for a permutation), as an int.
 
-    * the cyclic nodes are the eventual image of the map, reached by
-      squaring it (P = P[P]) until the image stops shrinking;
-    * tail lengths come from pointer jumping on the forest rooted at
-      the cycles (Wyllie's list ranking);
-    * cycle lengths come from min-label pointer jumping on the cyclic
+    * Cyclic nodes and the longest tail come from peeling leaves in
+      topological order (Kahn): each round removes the nodes no
+      remaining node maps to. The survivors are the cyclic nodes, and
+      the number of rounds is the longest tail. This is O(n) work in
+      total, but one round per tail step at about 22-30 us each once
+      the frontier is tiny: a random-like map needs about sqrt(n)
+      rounds (longest tail 1,680 at n = 1.43e6, 6,982 at n = 5e6), a
+      chain table of length L about 25 us * L.
+    * Cycle lengths come from min-label pointer jumping on the cyclic
       permutation, counted per label.
     """
     succ = np.asarray(table)[lo:]
@@ -276,38 +283,17 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]
     index_type = np.int32 if n <= 2**31 else np.int64
     succ = succ.astype(index_type, copy=False)
 
-    # Compare the images of S^0 (all nodes), S^1, S^2, S^4, ... in turn.
-    # Once Im S^a equals a later image, S maps it onto (so bijectively to)
-    # itself: it is the set of cyclic nodes, reached within a steps.
-    cyclic = np.ones(n, dtype=bool)
-    cyclic_count = n
-    jump = succ
-    doublings = 0
-    while True:
-        image = np.zeros(n, dtype=bool)
-        image[jump] = True
-        image_count = int(np.count_nonzero(image))
-        if image_count == cyclic_count:
-            break
-        cyclic, cyclic_count = image, image_count
-        jump = jump[jump]
-        doublings += 1
-    del jump, image
-
-    # Pointer jumping runs on rows (value, pointer): one row gather per
-    # round moves both columns, half the random reads of two gathers.
-    # Tails: after r rounds the value is min(tail, 2**r); the longest
-    # tail is at most 2**(doublings - 1).
-    dist = np.zeros(n, dtype=index_type)
-    dist[~cyclic] = 1
-    if doublings > 1:
-        state = np.stack([dist, np.where(cyclic, np.arange(n, dtype=index_type), succ)], axis=1)
-        for _ in range(doublings - 1):
-            ahead = np.take(state, state[:, 1], axis=0)
-            ahead[:, 0] += state[:, 0]
-            state = ahead
-        dist = state[:, 0].copy()
-        del state, ahead
+    indeg = np.bincount(succ, minlength=n)
+    leaves = np.flatnonzero(indeg == 0)
+    max_tail = 0
+    while leaves.size:
+        max_tail += 1
+        heads, hits = np.unique(succ[leaves], return_counts=True)
+        indeg[heads] -= hits
+        leaves = heads[indeg[heads] == 0]
+    cyclic = indeg > 0
+    cyclic_count = int(np.count_nonzero(cyclic))
+    del indeg, leaves
 
     # Cycles: the value is the least label among the next 2**r nodes of
     # the cycle; a round that changes no label leaves every cycle's min.
@@ -329,7 +315,7 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]
         state = ahead
     label = state[:, 0]
     counts = np.bincount(label)
-    return counts[counts > 0], dist
+    return counts[counts > 0], max_tail
 
 
 def _graph_summary(cycle_lengths: np.ndarray, max_tail: int) -> FunctionalGraphSummary:
@@ -421,9 +407,8 @@ def census_graph(
     p = m.p
     t = multiplicative_order(m.g, p)
     _check_budget(p, t, mem_budget)
-    cycle_lengths, dist = decompose_table(_subgroup_map(m, t), 0)
-    max_tail = int(dist.max()) + (1 if t < p - 1 else 0)
-    summary = _graph_summary(cycle_lengths, max_tail)
+    cycle_lengths, max_tail = decompose_table(_subgroup_map(m, t), 0)
+    summary = _graph_summary(cycle_lengths, max_tail + (1 if t < p - 1 else 0))
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max)
 
 

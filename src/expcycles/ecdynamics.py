@@ -274,7 +274,6 @@ def ec_census_graph(
     other cycle passes through it), so it counts starting values in
     {1,...,N-1} exactly like ec_census.
     """
-    cycle_lengths, dist = decompose_table(ec_table(m), 0)
-    summary = _graph_summary(cycle_lengths, int(dist.max()))
+    summary = _graph_summary(*decompose_table(ec_table(m), 0))
     # the 0 -> 0 loop lies outside the census domain
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max, fixed_outside=1)

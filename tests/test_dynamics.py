@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
     brute_census,
     brute_cycle_multiset,
     brute_max_tail,
+    brute_orbit_structure,
     brute_order,
     brute_table,
     trial_primes_between,
@@ -277,6 +279,51 @@ class TestCensusGraph:
             for u in range(1, p):
                 rec = dynamics.orbit(m, u)
                 assert pow(rec.entry_point, t, p) == 1, (p, g, u)
+
+
+class TestDecomposeTable:
+    @staticmethod
+    def check(table, lo=0):
+        cycle_lengths, max_tail = dynamics.decompose_table(np.asarray(table), lo)
+        assert type(max_tail) is int
+        expected = brute_orbit_structure(list(table), range(lo, len(table)))
+        assert (sorted(cycle_lengths.tolist()), max_tail) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+    def test_random_tables(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            self.check(rng.integers(0, n, n))
+
+    def test_identity(self):
+        self.check(range(7))
+
+    def test_one_cycle(self):
+        self.check([(i + 1) % 9 for i in range(9)])
+
+    def test_star_into_fixed_point(self):
+        self.check([0] * 12)
+
+    def test_rho(self):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 2: tail 2 into a 4-cycle
+        self.check([1, 2, 3, 4, 5, 2])
+
+    def test_long_chain(self):
+        table = list(range(1, 2000)) + [1999]
+        _, max_tail = dynamics.decompose_table(np.array(table), 0)
+        assert max_tail == 1999
+        self.check(table)
+
+    def test_disjoint_components(self):
+        # fixed point 0 with feeders 1, 2 <- 3; 2-cycle 4 <-> 5 with
+        # 6, 11 -> 7 -> 4; 3-cycle 8 -> 9 -> 10 -> 8
+        self.check([0, 0, 0, 2, 5, 4, 7, 4, 9, 10, 8, 7])
+
+    def test_shifted_by_lo(self):
+        rng = np.random.default_rng(7)
+        lo, n = 5, 300
+        table = np.concatenate([rng.integers(-50, 50, lo), rng.integers(lo, lo + n, n)])
+        self.check(table, lo)
 
 
 def oracle_summary(p: int, g: int) -> dynamics.FunctionalGraphSummary:
