@@ -443,9 +443,9 @@ def _ec_rows(args, m: ecdynamics.ECExpMap):
 
 
 def cmd_ec(args) -> int:
+    _require_kmax(args.kmax)
     curve = ecdynamics.CurveParams(args.p, args.a, args.b)
     m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
-    _require_kmax(args.kmax)
     head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
     return _emit(args, _ec_rows(args, m), head + _count_columns(args.kmax),
                  lambda r: [r[c] for c in head] + r["n_dividing"] + r["n_least_period"])

@@ -12,8 +12,10 @@ ec_table builds all N points by block doubling in numpy, as
 dynamics._pow_range builds powers: the points 0..f-1 plus fG give the
 points f..2f-1, by affine addition on int64 coordinate arrays where
 x = p stands for the point at infinity; the first blocks are scalar
-additions. point_add and scalar_mul stay the scalar group law; ec_apply,
-one scalar_mul per value, is the independent check of the table.
+additions. Each chunk's slope denominators are inverted by one product
+tree, _batch_inverse: about 3 modular multiplies per element plus one
+scalar inverse. point_add and scalar_mul stay the scalar group law;
+ec_apply, one scalar_mul per value, is the independent check of the table.
 ec_table and curve_order, like dynamics.exp_table, refuse p above the
 int64-exact limit dynamics._NUMPY_MOD_LIMIT, where their products would
 overflow silently.
@@ -46,7 +48,8 @@ Point = Optional[tuple[int, int]]  # None is the point at infinity
 _EC_CHUNK = 1 << 16
 
 # Points ec_table adds by scalar point_add before block doubling: below
-# this size a block's fixed log2 p steps of _fermat_inverse cost more.
+# this size a block's fixed ~8 numpy calls per level of the _batch_inverse
+# tree cost more (fastest of 32..512 at N = 100, 240, 1068 and 4036).
 _EC_SCALAR_BASE = 128
 
 
@@ -125,7 +128,7 @@ def scalar_mul(curve: CurveParams, k: int, point: Point) -> Point:
 def curve_order(curve: CurveParams, mem_budget: int = DEFAULT_MEM_BUDGET) -> int:
     """#E(F_p): the infinity point plus, per x, the number of y solving the equation.
 
-    Full O(p) sweep via a square-count table in int64; intended for
+    Full O(p) sweep via an int8 square-root-count table; intended for
     desk-scale p. p above the int64-exact limit raises MemoryBudgetError.
     """
     p = curve.p
@@ -135,9 +138,16 @@ def curve_order(curve: CurveParams, mem_budget: int = DEFAULT_MEM_BUDGET) -> int
             f"p={p} needs ~{16 * p} bytes for the order sweep, budget {mem_budget}"
         )
     x = np.arange(p, dtype=np.int64)
-    rhs = (x * x % p * x % p + curve.a * x % p + curve.b) % p
-    counts = np.bincount(x * x % p, minlength=p)
-    return 1 + int(counts[rhs].sum())
+    rhs = x * x  # x^2 mod p, then x^3 + ax + b by Horner; all below p^2
+    rhs %= p
+    roots = np.bincount(rhs, minlength=p).astype(np.int8)  # 0, 1 or 2 square roots each
+    rhs += curve.a
+    rhs %= p
+    rhs *= x
+    rhs %= p
+    rhs += curve.b
+    rhs %= p
+    return 1 + int(roots[rhs].sum(dtype=np.int64))
 
 
 def hasse_ok(p: int, n: int) -> bool:
@@ -178,20 +188,27 @@ def ec_apply(m: ECExpMap, u: int) -> int:
     return 0 if point is None else point[0] % m.n
 
 
-def _fermat_inverse(d: np.ndarray, p: int) -> np.ndarray:
-    """d**(p-2) mod p elementwise by square-and-multiply; 0 maps to 0."""
-    result = np.ones_like(d)
-    square = d.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            result *= square
-            result %= p
-        e >>= 1
-        if e:
-            square *= square
-            square %= p
-    return result
+def _batch_inverse(d: np.ndarray, p: int) -> np.ndarray:
+    """d**-1 mod p elementwise for residues 1..p-1 (Montgomery's trick).
+
+    Product tree: pairs are multiplied up to one root (odd levels padded
+    with 1), the root is inverted once, and each child's inverse is its
+    parent's inverse times its sibling.
+    """
+    levels = []
+    level = d
+    while len(level) > 1:
+        if len(level) % 2:
+            level = np.append(level, 1)
+        levels.append(level)
+        level = level[0::2] * level[1::2] % p
+    inv = np.array([pow(int(level[0]), -1, p)], dtype=np.int64)
+    for level in reversed(levels):
+        parent, inv = inv[: len(level) // 2], np.empty_like(level)
+        np.multiply(parent, level[1::2], out=inv[0::2])
+        np.multiply(parent, level[0::2], out=inv[1::2])
+        inv %= p
+    return inv[: len(d)]
 
 
 def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
@@ -212,7 +229,8 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
     den = (qx - x1) % p
     num[tangent] = (x1[tangent] * x1[tangent] % p * 3 + curve.a) % p
     den[tangent] = 2 * y1[tangent] % p
-    slope = num * _fermat_inverse(den, p) % p
+    den[den == 0] = 1  # only in the lanes P = O and P = -Q, overwritten below
+    slope = num * _batch_inverse(den, p) % p
     x3[:] = (slope * slope - x1 - qx) % p
     y3[:] = (slope * (x1 - x3) - y1) % p
     x3[p_inf], y3[p_inf] = qx, qy
@@ -220,15 +238,15 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
 
 
 def ec_table(m: ECExpMap) -> np.ndarray:
-    """int64 table t with t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0.
+    """Table t with t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0.
 
     Built by block doubling, like dynamics._pow_range: once the points
     0..f-1 are known, the next block is P[i] + fG; the base case, the
     first _EC_SCALAR_BASE points, is a running sum of scalar point_add.
     Each block is affine addition on int64 coordinate arrays in chunks of
     _EC_CHUNK, with x = p marking O and all slope denominators of a chunk
-    inverted by Fermat. p above the int64-exact limit raises
-    MemoryBudgetError.
+    inverted by one product tree. The table is int32 if N <= 2**31, else
+    int64. p above the int64-exact limit raises MemoryBudgetError.
     """
     p, n = m.curve.p, m.n
     _require_int64_exact(p)
@@ -248,9 +266,10 @@ def ec_table(m: ECExpMap) -> np.ndarray:
             _add_block(m.curve, xs[lo:hi], ys[lo:hi], q,
                        xs[filled + lo : filled + hi], ys[filled + lo : filled + hi])
         filled += take
+    del ys
     xs[xs == p] = 0
     xs %= n
-    return xs
+    return xs.astype(np.int32 if n <= 2**31 else np.int64, copy=False)
 
 
 def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import brute_census
-from expcycles import bounds, cli, dynamics
+from expcycles import bounds, cli, dynamics, ecdynamics
 
 
 def run_cli(capsys, *argv):
@@ -367,6 +367,16 @@ class TestECCommand:
                                "--gx", "1", "--gy", "1")
         assert code == 2
         assert "not on the curve" in err
+
+    def test_kmax_checked_before_order_sweep(self, capsys, monkeypatch):
+        def no_sweep(curve, mem_budget=None):
+            raise AssertionError("curve_order ran before --kmax was checked")
+
+        monkeypatch.setattr(ecdynamics, "curve_order", no_sweep)
+        code, _, err = run_cli(capsys, "ec", "--p", "2000003", "--a", "2", "--b", "3",
+                               "--gx", "0", "--gy", "919159", "--kmax", "0")
+        assert code == 2
+        assert "k_max" in err
 
 
 class TestAvgCommand:

@@ -1,11 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import brute_orbit_structure, ec_brute_census, ec_brute_points, trial_primes_between
 from expcycles import dynamics, ecdynamics
 from expcycles.dynamics import FunctionalGraphSummary, MemoryBudgetError
+from expcycles.modarith import is_prime
 
 F5_CURVE = ecdynamics.CurveParams(5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
 F5_AFFINE = [(0, 1), (0, 4), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)]
@@ -155,6 +157,26 @@ def _random_curve_no_points(rng, p):
             return ecdynamics.CurveParams(p, a, b), None
 
 
+def _largest_int64_exact_prime():
+    p = dynamics._NUMPY_MOD_LIMIT
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+class TestBatchInverse:
+    # a level of odd length is padded with 1: only the leaves for 3, 7 and
+    # 65535, deeper levels too for 5 and 65537 (every level); 65536 never
+    @pytest.mark.parametrize("p", [5, 7, 2000003, _largest_int64_exact_prime()])
+    def test_matches_scalar_inverse(self, p):
+        rng = np.random.default_rng(p % 1000)
+        for length in (1, 2, 3, 5, 7, 65535, 65536, 65537):
+            d = rng.integers(1, p, size=length, dtype=np.int64)
+            inv = ecdynamics._batch_inverse(d, p)
+            assert inv.dtype == np.int64 and len(inv) == length
+            assert inv.tolist() == [pow(v, -1, p) for v in d.tolist()], (p, length)
+
+
 class TestECExpMap:
     def test_construction(self):
         m = ecdynamics.ECExpMap(F5_CURVE, (0, 1))
@@ -220,6 +242,7 @@ class TestECApply:
     def test_table_matches_apply_at_benchmark_size(self):
         m = ecdynamics.ECExpMap(ecdynamics.CurveParams(2000003, 2, 3), (0, 919159))
         table = ecdynamics.ec_table(m)
+        assert table.dtype == np.int32
         rng = random.Random(47)
         for u in [0, 1, 2, m.n - 1] + rng.sample(range(m.n), 2000):
             assert table[u] == ecdynamics.ec_apply(m, u), u
