@@ -7,7 +7,7 @@ Three bound families are evaluated against exact censuses:
   k=3:  N <= (3p + g**(2g+1) + g + 1) / 4
 
 All comparisons are exact: integer forms for k=1 and k=2, rationals for
-k=3. Sweep helpers return violation lists, which are expected empty.
+k=3. verify decides all three; thm1_sweep lists k=1 violations for all g.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-
-import numpy as np
 
 from . import dynamics
 from .modarith import primes_in_range
@@ -160,57 +158,10 @@ def thm1_sweep(p_min: int, p_max: int) -> list[tuple[int, int, int]]:
     """(p, g, n1) for every pair violating the fixed-point bound; expect [].
 
     Exhaustive over all primes in [p_min, p_max] and all g in 1..p-1,
-    using the all-bases vectorized counter.
+    using the O(p) all-bases fixed-point count.
     """
     out: list[tuple[int, int, int]] = []
     for p in primes_in_range(max(p_min, 3), p_max):
-        counts = dynamics.fixed_point_counts_all_bases(p)
-        bad = np.nonzero((2 * counts - 1) ** 2 > 8 * p)[0]
-        for g in bad:
-            if g >= 1:
-                out.append((p, int(g), int(counts[g])))
-    return out
-
-
-def thm2_sweep(g: int, p_max: int, p_min: int = 3) -> list[tuple[int, int, int]]:
-    """(p, n2, bound) violations of the 2-cycle bound for fixed g; expect [].
-
-    Skips primes dividing g. The bound is evaluated at the given integer
-    g; the census uses g mod p, the same dynamical system.
-    """
-    if g < 2:
-        raise ValueError("sweep needs g >= 2")
-    out: list[tuple[int, int, int]] = []
-    for p in primes_in_range(p_min, p_max):
-        if g % p == 0:
-            continue
-        census = dynamics.census_table(dynamics.ExpMap(p, g), 2)
-        n2 = census.n_dividing[2]
-        _, bound = thm2_bound_explicit(p, g)
-        if n2 > bound:
-            out.append((p, n2, bound))
-    return out
-
-
-def thm3_sweep(
-    g: int, p_max: int, p_min: int = 3, semantics: str = "dividing"
-) -> list[tuple[int, int, Fraction]]:
-    """(p, count, bound) violations of the 3-cycle bound for fixed g; expect [].
-
-    semantics selects the counted set: "dividing" (period divides 3) or
-    "least" (least period exactly 3); the former dominates the latter.
-    """
-    if semantics not in ("dividing", "least"):
-        raise ValueError(f"unknown semantics {semantics!r}")
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    out: list[tuple[int, int, Fraction]] = []
-    for p in primes_in_range(p_min, p_max):
-        if g % p == 0:
-            continue
-        census = dynamics.census_table(dynamics.ExpMap(p, g), 3)
-        count = census.n_dividing[3] if semantics == "dividing" else census.n_least_period[3]
-        bound = thm3_bound(p, g)
-        if count > bound:
-            out.append((p, count, bound))
+        counts = dynamics.fixed_point_counts_all_bases(p).tolist()
+        out.extend((p, g, n1) for g, n1 in enumerate(counts) if g and not thm1_holds(p, n1))
     return out

@@ -17,10 +17,10 @@ graph budget charges about 40 bytes per element of <g>.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
-from a given first start (0 for S, 1 for the curve map). Only exp_table,
-the full table g**u mod p that lemmas uses, refuses p above
-_NUMPY_MOD_LIMIT (about 3.04e9, where its int64 products stop being
-exact and the table alone would exceed 24 GB); above it _subgroup_map
+from a given first start (0 for S, 1 for the curve map). Only exp_table
+(g**u mod p, for lemmas) and the all-bases fixed-point count refuse p
+above _NUMPY_MOD_LIMIT (about 3.04e9, where int64 products stop being
+exact and a table of size p would exceed 24 GB); above it _subgroup_map
 runs in Python, so every census route and fixed_points still run.
 """
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modarith import check_prime_modulus, multiplicative_order
+from .modarith import check_prime_modulus, multiplicative_order, primitive_root
 
 # Byte budget for whole-graph passes.
 DEFAULT_MEM_BUDGET = 2**31
@@ -423,20 +423,27 @@ def fixed_points(m: ExpMap) -> set[int]:
 
 
 def fixed_point_counts_all_bases(p: int) -> np.ndarray:
-    """counts[g] = #{u : g**u == u (mod p)} for every g in 1..p-1.
+    """counts[g] = #{u : g**u == u (mod p)} for every g in 1..p-1; counts[0] = 0.
 
-    Column recurrence over u: the vector (g**u)_g for consecutive u is an
-    elementwise multiply by (g)_g. Intended for exhaustive small-p
-    sweeps; requires int64-exact products.
+    O(p) by indices: with a primitive root r, g = r**i and u = r**L[u],
+    g fixes u exactly when i*u == L[u] (mod p-1). For d = gcd(u, p-1)
+    that has no solution i unless d divides L[u], and then d of them,
+    one residue class mod (p-1)/d. p above _NUMPY_MOD_LIMIT raises
+    MemoryBudgetError.
     """
     check_prime_modulus(p)
-    if p > _NUMPY_MOD_LIMIT:
-        raise ValueError(f"p={p} too large for the vectorized all-bases sweep")
-    gs = np.arange(p, dtype=np.int64)
-    col = np.ones(p, dtype=np.int64)
+    _require_int64_exact(p)
+    n = p - 1
+    powers = _pow_range(primitive_root(p), n, p)
+    index = np.empty(p, dtype=np.int64)
+    index[powers] = np.arange(n, dtype=np.int64)
+    hits = [0] * n  # hits[i] counts the fixed points of r**i
+    for u, lu in enumerate(index.tolist()[1:], 1):
+        d = math.gcd(u, n)
+        if lu % d == 0:
+            step = n // d
+            for i in range(lu // d * pow(u // d, -1, step) % step, n, step):
+                hits[i] += 1
     counts = np.zeros(p, dtype=np.int64)
-    for u in range(1, p):
-        col = col * gs % p
-        counts += col == u
-    counts[0] = 0
+    counts[powers] = hits
     return counts

@@ -67,16 +67,16 @@ def fact2_check(p: int, g: int, y: int) -> bool:
 def fact2_violations(p: int, g: int) -> list[int]:
     """All y in {1,...,p-1} where the implication fails; expected [].
 
-    Vectorized over y; falls back to scalar checks when g*p would not be
-    int64-exact.
+    Vectorized over y in int64. g*p >= 2**62 needs p > 2**31, where the
+    arrays alone would exceed 17 GB; it raises ValueError at once.
     """
+    if g * p >= 2**62:
+        raise ValueError(f"p={p}, g={g}: g*p >= 2**62 is too large for the int64 sweep")
     exceptional = fact2_exceptional_set(p, g)
-    if g * p < 2**62:
-        y = np.arange(1, p, dtype=np.int64)
-        gy = g * y
-        jump = (gy + g) // p > (gy + 1) // p
-        return [int(v) for v in y[jump] if int(v) not in exceptional]
-    return [y for y in range(1, p) if not fact2_check(p, g, y)]
+    y = np.arange(1, p, dtype=np.int64)
+    gy = g * y
+    jump = (gy + g) // p > (gy + 1) // p
+    return [int(v) for v in y[jump] if int(v) not in exceptional]
 
 
 class MalformedInstanceError(ValueError):

@@ -160,3 +160,16 @@ def ec_brute_census(table: list[int], n: int, k_max: int) -> tuple[list[int], li
         if least:
             n_least[least] += 1
     return n_div, n_least
+
+
+def brute_thm2_holds(p: int, g: int, n2: int) -> bool:
+    """n2 <= ceil(2p/z) + 2 + 2*g**(2z), z the least z >= 1 with g**(3z) >= p."""
+    z = 1
+    while g ** (3 * z) < p:
+        z += 1
+    return n2 <= (2 * p + z - 1) // z + 2 + 2 * g ** (2 * z)
+
+
+def brute_thm3_holds(p: int, g: int, n3: int) -> bool:
+    """n3 <= (3p + g**(2g+1) + g + 1) / 4, cleared of the denominator."""
+    return 4 * n3 <= 3 * p + g ** (2 * g + 1) + g + 1

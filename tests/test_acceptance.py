@@ -6,18 +6,20 @@ through an independent route; nothing is trusted from the implementation
 under test.
 """
 
+import json
 import random
-
 
 from conftest import (
     brute_census,
     brute_cycle_multiset,
     brute_order,
+    brute_thm2_holds,
+    brute_thm3_holds,
     ec_brute_census,
     ec_brute_points,
     trial_primes_between,
 )
-from expcycles import bounds, dynamics, ecdynamics, lemmas
+from expcycles import bounds, cli, dynamics, ecdynamics, lemmas
 from expcycles.modarith import is_primitive_root, primes_in_range
 
 
@@ -38,17 +40,32 @@ def test_criterion_01_fixed_point_bound_sweep():
     report(1, "N(1) <= sqrt(2p)+1/2 for all primes 11..2003, all g: zero violations")
 
 
-def test_criterion_02_two_cycle_bound_sweep():
-    for g in (2, 3):
-        assert bounds.thm2_sweep(g, 10**5) == []
+def test_criterion_02_two_cycle_bound_sweep(tmp_path):
+    # the README example, through the CLI and its worker pool
+    out = tmp_path / "bounds.jsonl"
+    code = cli.main(["verify-bounds", "--pmin", "3", "--pmax", "100000", "--g-list", "2,3",
+                     "--workers", "2", "--out", str(out)])
+    assert code == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    expected = [(p, g) for p in trial_primes_between(3, 10**5) for g in (2, 3) if g < p]
+    assert len(rows) == len(expected) == 19181
+    assert [(row["p"], row["g"]) for row in rows] == expected
+    for row in rows:
+        assert row["flags"]["thm2"] is brute_thm2_holds(row["p"], row["g"], row["n2"]) is True
+    rng = random.Random(102)
+    for row in rng.sample([row for row in rows if row["p"] < 5000], 30):
+        n_div, _ = brute_census(row["p"], row["g"], 3)
+        assert [row["n1"], row["n2"], row["n3"]] == n_div[1:], row
     report(2, "N(2) <= ceil(2p/z)+2+2g^(2z) for g in {2,3}, all primes p <= 1e5")
 
 
 def test_criterion_03_three_cycle_bound_sweep():
-    for g in (2, 3, 5):
-        for semantics in ("dividing", "least"):
-            assert bounds.thm3_sweep(g, 10**4, semantics=semantics) == []
-    report(3, "N(3) <= 3p/4+(g^(2g+1)+g+1)/4 for g in {2,3,5}, p <= 1e4, both semantics")
+    for p in trial_primes_between(3, 10**4):
+        for g in (2, 3, 5):
+            if g < p:
+                r = bounds.verify(dynamics.ExpMap(p, g))
+                assert r.thm3_ok is brute_thm3_holds(p, g, r.n3) is True, (p, g)
+    report(3, "N(3) <= 3p/4+(g^(2g+1)+g+1)/4 for g in {2,3,5}, all primes p <= 1e4")
 
 
 def test_criterion_04_census_oracle_equivalence():

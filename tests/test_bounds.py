@@ -112,15 +112,6 @@ class TestSweeps:
     def test_thm1_no_violations_small(self):
         assert bounds.thm1_sweep(11, 300) == []
 
-    def test_thm2_no_violations_small(self):
-        assert bounds.thm2_sweep(2, 2000) == []
-        assert bounds.thm2_sweep(3, 2000) == []
-
-    def test_thm3_no_violations_small(self):
-        for semantics in ("dividing", "least"):
-            assert bounds.thm3_sweep(2, 500, semantics=semantics) == []
-            assert bounds.thm3_sweep(3, 500, semantics=semantics) == []
-
     def test_sweep_counts_match_census(self):
         # the vectorized all-bases counter behind thm1_sweep agrees with
         # per-map censuses
@@ -129,7 +120,3 @@ class TestSweeps:
         for g in range(1, p):
             census = dynamics.census_naive(dynamics.ExpMap(p, g), 1)
             assert counts[g] == census.n_dividing[1]
-
-    def test_thm3_sweep_rejects_bad_semantics(self):
-        with pytest.raises(ValueError):
-            bounds.thm3_sweep(2, 100, semantics="exact")

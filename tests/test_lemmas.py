@@ -64,6 +64,11 @@ class TestFact2:
             expected = [y for y in range(1, p) if not lemmas.fact2_check(p, g, y)]
             assert lemmas.fact2_violations(p, g) == expected == []
 
+    def test_violations_refuse_products_beyond_int64(self):
+        # g*p >= 2**62 needs p > 2**31; refused before any set or array exists
+        with pytest.raises(ValueError):
+            lemmas.fact2_violations(2147483659, 2147483658)
+
 
 class TestCombLemma:
     def worked_instance(self):
