@@ -454,7 +454,8 @@ def cmd_ec(args) -> int:
 # ------------------------------------------------------------------- avg
 
 def _avg_rows(p: int, k: int):
-    per_g = [dynamics.census_table(dynamics.ExpMap(p, g), k).n_dividing[k] for g in range(1, p)]
+    per_g = (dynamics.fixed_point_counts_all_bases(p)[1:].tolist() if k == 1 else
+             [dynamics.census_table(dynamics.ExpMap(p, g), k).n_dividing[k] for g in range(1, p)])
     total = sum(per_g)
     yield {"p": p, "k": k, "total": total, "mean": total / (p - 1), "per_g": per_g}, False
 

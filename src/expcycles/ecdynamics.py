@@ -5,10 +5,17 @@ with the point at infinity (represented as None) as neutral element.
 For a base point G and the group size N, the analogue map sends
 u -> x(uG) mod N on {0,...,N-1}, with x(O) assigned the value 0 so that
 iteration is total. Censuses count starting values in {1,...,N-1},
-mirroring the prime case: ec_census runs the shared table census of
-dynamics on ec_table.
+mirroring the prime case, with the shared table census of dynamics.
 
-ec_table builds all N points by block doubling in numpy, as
+N*G = O gives x((N-u)G) = x(-uG) = x(uG), so the map is f = h o phi with
+phi(u) = min(u, N-u) and h = f on 0..N//2, the only part built (_x_half).
+ec_table mirrors it, t[N-u] = t[u]; ec_census censuses the folded map
+F(v) = min(h(v), N - h(v)) on the starts 1..N//2. As phi o f = F o phi,
+each F-periodic v >= 1 has exactly one f-periodic point in {v, N-v}, of
+the same period, so every n_dividing[k] is unchanged. ec_census_graph
+decomposes the full table, a check independent of the fold.
+
+_x_half builds its points by block doubling in numpy, as
 dynamics._pow_range builds powers: the points 0..f-1 plus fG give the
 points f..2f-1, by affine addition on int64 coordinate arrays where
 x = p stands for the point at infinity; the first blocks are scalar
@@ -16,7 +23,7 @@ additions. Each chunk's slope denominators are inverted by one product
 tree, _batch_inverse: about 3 modular multiplies per element plus one
 scalar inverse. point_add and scalar_mul stay the scalar group law;
 ec_apply, one scalar_mul per value, is the independent check of the table.
-ec_table and curve_order, like dynamics.exp_table, refuse p above the
+_x_half and curve_order, like dynamics.exp_table, refuse p above the
 int64-exact limit dynamics._NUMPY_MOD_LIMIT, where their products would
 overflow silently.
 """
@@ -51,6 +58,10 @@ _EC_CHUNK = 1 << 16
 # this size a block's fixed ~8 numpy calls per level of the _batch_inverse
 # tree cost more (fastest of 32..512 at N = 100, 240, 1068 and 4036).
 _EC_SCALAR_BASE = 128
+
+# Peak bytes of curve_order per residue (int64 x and rhs, int8 roots, a mask):
+# getrusage peak RSS over the interpreter baseline, 18.0 at p = 2e6, 1e7, 2e7.
+_ORDER_BYTES_PER_ELEMENT = 18
 
 
 @dataclass(frozen=True)
@@ -133,20 +144,23 @@ def curve_order(curve: CurveParams, mem_budget: int = DEFAULT_MEM_BUDGET) -> int
     """
     p = curve.p
     _require_int64_exact(p)
-    if 16 * p > mem_budget:
+    need = _ORDER_BYTES_PER_ELEMENT * p
+    if need > mem_budget:
         raise MemoryBudgetError(
-            f"p={p} needs ~{16 * p} bytes for the order sweep, budget {mem_budget}"
+            f"p={p} needs ~{need} bytes for the order sweep, budget {mem_budget}"
         )
     x = np.arange(p, dtype=np.int64)
     rhs = x * x  # x^2 mod p, then x^3 + ax + b by Horner; all below p^2
     rhs %= p
-    roots = np.bincount(rhs, minlength=p).astype(np.int8)  # 0, 1 or 2 square roots each
+    roots = np.zeros(p, dtype=np.int8)  # number of square roots: 0, 1 or 2
+    roots[0] = 1
+    roots[rhs[1 : (p + 1) // 2]] = 2  # x and p-x share a square; these are distinct
     rhs += curve.a
-    rhs %= p
+    np.subtract(rhs, p, out=rhs, where=rhs >= p)
     rhs *= x
     rhs %= p
     rhs += curve.b
-    rhs %= p
+    np.subtract(rhs, p, out=rhs, where=rhs >= p)
     return 1 + int(roots[rhs].sum(dtype=np.int64))
 
 
@@ -223,10 +237,12 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
     p_inf = x1 == p
     same_x = x1 == qx
     # P = -Q (which covers P = Q with y = 0) gives O; P = Q takes the tangent
-    to_inf = same_x & ((y1 + qy) % p == 0)
+    to_inf = same_x & (y1 == (-qy) % p)
     tangent = same_x & ~to_inf
-    num = (qy - y1) % p
-    den = (qx - x1) % p
+    num = qy - y1  # both in (-p, p): lifted by compare-and-add, not %
+    np.add(num, p, out=num, where=num < 0)
+    den = qx - x1
+    np.add(den, p, out=den, where=den < 0)
     num[tangent] = (x1[tangent] * x1[tangent] % p * 3 + curve.a) % p
     den[tangent] = 2 * y1[tangent] % p
     den[den == 0] = 1  # only in the lanes P = O and P = -Q, overwritten below
@@ -237,18 +253,14 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
     x3[to_inf], y3[to_inf] = p, 0
 
 
-def ec_table(m: ECExpMap) -> np.ndarray:
-    """Table t with t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0.
+def _x_half(m: ECExpMap) -> np.ndarray:
+    """h[u] = x(uG) mod N for u in 0..N//2, x(O) := 0; int32 if N < 2**31.
 
-    Built by block doubling, like dynamics._pow_range: once the points
-    0..f-1 are known, the next block is P[i] + fG; the base case, the
-    first _EC_SCALAR_BASE points, is a running sum of scalar point_add.
-    Each block is affine addition on int64 coordinate arrays in chunks of
-    _EC_CHUNK, with x = p marking O and all slope denominators of a chunk
-    inverted by one product tree. The table is int32 if N <= 2**31, else
-    int64. p above the int64-exact limit raises MemoryBudgetError.
+    Block doubling: once the points 0..f-1 are known, the next block is
+    P[i] + fG, in chunks of _EC_CHUNK; the first _EC_SCALAR_BASE points are
+    a running sum of scalar point_add.
     """
-    p, n = m.curve.p, m.n
+    p, n = m.curve.p, m.n // 2 + 1
     _require_int64_exact(p)
     xs = np.empty(n, dtype=np.int64)
     ys = np.empty(n, dtype=np.int64)
@@ -268,19 +280,26 @@ def ec_table(m: ECExpMap) -> np.ndarray:
         filled += take
     del ys
     xs[xs == p] = 0
-    xs %= n
-    return xs.astype(np.int32 if n <= 2**31 else np.int64, copy=False)
+    xs %= m.n
+    return xs.astype(np.int32 if m.n < 2**31 else np.int64, copy=False)
+
+
+def ec_table(m: ECExpMap) -> np.ndarray:
+    """t[u] = x(uG) mod N for u in 0..N-1, x(O) := 0: _x_half and its mirror t[N-u] = t[u]."""
+    half = _x_half(m)
+    return np.concatenate((half, half[(m.n + 1) // 2 - 1 : 0 : -1]))
 
 
 def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:
     """Count u0 in {1,...,N-1} with u_k == u0 for each k <= k_max.
 
-    The table census of the prime case run on ec_table, so the counting
-    semantics are the same.
+    By the table census of the folded map F on 1..N//2 (module docstring).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return _census_from_table(ec_table(m), k_max, 1)
+    half = _x_half(m)
+    np.minimum(half, m.n - half, out=half)  # N - h fits the dtype, as N < 2**31 for int32
+    return _census_from_table(half, k_max, 1)
 
 
 def ec_census_graph(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import brute_census
+from conftest import brute_census, trial_primes_between
 from expcycles import bounds, cli, dynamics, ecdynamics
 
 
@@ -394,6 +394,17 @@ class TestAvgCommand:
         code, out, _ = run_cli(capsys, "avg", "--p", "3", "--k", "1")
         assert code == 0
         assert json_rows(out)[0]["total"] == 1
+
+    def test_k1_all_bases_count_matches_per_g_census(self, capsys):
+        # k = 1 counts every base at once; the row is byte-identical to the
+        # one built from a census_table per base
+        for p in trial_primes_between(3, 300):
+            per_g = [dynamics.census_table(dynamics.ExpMap(p, g), 1).n_dividing[1]
+                     for g in range(1, p)]
+            row = {"p": p, "k": 1, "total": sum(per_g), "mean": sum(per_g) / (p - 1),
+                   "per_g": per_g}
+            code, out, _ = run_cli(capsys, "avg", "--p", str(p), "--k", "1")
+            assert code == 0 and out == json.dumps(row) + "\n", p
 
     def test_mean_at_most_max(self, capsys):
         code, out, _ = run_cli(capsys, "avg", "--p", "31", "--k", "2")

@@ -131,6 +131,16 @@ class TestCurveOrder:
             curve, points = _random_curve(rng, p)
             assert ecdynamics.curve_order(curve) == len(points)
 
+    def test_matches_double_loop_a_or_b_zero(self):
+        # b = 0 puts the root x = 0 on the curve (roots[0] = 1); a = 0 adds
+        # nothing before the Horner step
+        for p in trial_primes_between(5, 61):
+            for a, b in [(0, 1), (0, 2), (0, p - 1), (1, 0), (2, 0), (p - 1, 0)]:
+                if (4 * a**3 + 27 * b**2) % p:
+                    curve = ecdynamics.CurveParams(p, a, b)
+                    assert ecdynamics.curve_order(curve) == 1 + len(ec_brute_points(p, a, b)), (
+                        p, a, b)
+
     def test_hasse_window(self):
         rng = random.Random(43)
         pool = trial_primes_between(5, 2000)
@@ -140,14 +150,22 @@ class TestCurveOrder:
             assert ecdynamics.hasse_ok(p, ecdynamics.curve_order(curve))
 
     def test_memory_budget(self):
+        curve = ecdynamics.CurveParams(10007, 1, 1)
+        need = ecdynamics._ORDER_BYTES_PER_ELEMENT * 10007
         with pytest.raises(MemoryBudgetError):
-            ecdynamics.curve_order(ecdynamics.CurveParams(10007, 1, 1), mem_budget=100)
+            ecdynamics.curve_order(curve, mem_budget=need - 1)
+        assert ecdynamics.hasse_ok(10007, ecdynamics.curve_order(curve, mem_budget=need))
 
     def test_refused_above_int64_limit(self, monkeypatch):
         # refused even when the byte budget would admit the sweep
         monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
         with pytest.raises(MemoryBudgetError, match="int64"):
             ecdynamics.curve_order(ecdynamics.CurveParams(97, 3, 8), mem_budget=2**62)
+
+
+def _point_order(curve, point, n):
+    return next(d for d in range(1, n + 1) if n % d == 0
+                and ecdynamics.scalar_mul(curve, d, point) is None)
 
 
 def _random_curve_no_points(rng, p):
@@ -214,13 +232,14 @@ class TestECApply:
             ecdynamics.ec_apply(m, -1)
 
     def test_table_matches_pointwise_apply(self, monkeypatch):
-        # every base point on curves with p = 1 and 3 mod 4, including N prime
-        # (13, 0, 2) and p = N (97, 1, 1), 2-torsion bases with y = 0 and bases
-        # of order below N, whose doubling blocks add Q = O and P = +-Q; the
-        # scalar base case is cut short so that the blocks build these tables
+        # every base point on curves with p = 1 and 3 mod 4, N odd and even,
+        # including N prime (13, 0, 2) and p = N (97, 1, 1), 2-torsion bases
+        # with y = 0 and bases of order below N, whose doubling blocks add
+        # Q = O and P = +-Q; the scalar base case is cut short so that the
+        # blocks build these tables
         curves = [(5, 1, 1), (7, 0, 1), (11, 3, 3), (13, 0, 1), (13, 0, 2),
                   (97, 1, 1), (97, 2, 3), (101, 1, 1), (103, 0, 3), (103, 2, 3)]
-        residues, two_torsion, proper_order = set(), 0, 0
+        residues, parities, two_torsion, proper_order = set(), set(), 0, 0
         for p, a, b in curves:
             curve = ecdynamics.CurveParams(p, a, b)
             n = ecdynamics.curve_order(curve)
@@ -231,13 +250,13 @@ class TestECApply:
                     monkeypatch.setattr(ecdynamics, "_EC_SCALAR_BASE", scalar_base)
                     table = ecdynamics.ec_table(m).tolist()
                     assert table == expected, (p, a, b, base, scalar_base)
+                    assert all(table[u] == table[n - u] for u in range(1, n))
                 residues.add(p % 4)
+                parities.add(n % 2)
                 two_torsion += base[1] == 0
-                proper_divisors = [d for d in range(1, n) if n % d == 0]
-                proper_order += any(
-                    ecdynamics.scalar_mul(curve, d, base) is None for d in proper_divisors
-                )
-        assert residues == {1, 3} and two_torsion > 0 and proper_order > 0
+                proper_order += _point_order(curve, base, n) < n
+        assert residues == {1, 3} and parities == {0, 1}
+        assert two_torsion > 0 and proper_order > 0
 
     def test_table_matches_apply_at_benchmark_size(self):
         m = ecdynamics.ECExpMap(ecdynamics.CurveParams(2000003, 2, 3), (0, 919159))
@@ -279,6 +298,48 @@ class TestECCensus:
                 n_div, n_least = ec_brute_census(table, m.n, k_max)
                 assert list(census.n_dividing) == n_div, (m, k_max)
                 assert list(census.n_least_period) == n_least, (m, k_max)
+
+    def test_folded_census_equals_full_table_census(self):
+        # ec_census folds {v, N-v} together; _census_from_table on the full
+        # mirrored table is the unfolded count. N odd and even (v = N/2 is
+        # its own mirror), bases of order at most 6 (x = 0 at every multiple
+        # of the order) and N around 2 * _EC_SCALAR_BASE, where the half
+        # table first outgrows the scalar base case
+        rng = random.Random(48)
+        maps = []
+        for _ in range(20):
+            curve, points = _random_curve(rng, rng.choice(trial_primes_between(5, 300)))
+            maps.append(ecdynamics.ECExpMap(curve, rng.choice(points[1:])))
+        small_order = 0
+        for p in (7, 13, 31, 61, 97, 101, 103):
+            curve, points = _random_curve(rng, p)
+            n = len(points)
+            for base in points[1:]:
+                if _point_order(curve, base, n) <= 6:
+                    maps.append(ecdynamics.ECExpMap(curve, base, n=n))
+                    small_order += 1
+        edge = 2 * ecdynamics._EC_SCALAR_BASE
+        sizes = {}
+        for p in trial_primes_between(edge - 30, edge + 30):
+            for a, b in itertools.product(range(4), range(1, 6)):
+                if (4 * a**3 + 27 * b**2) % p:
+                    curve = ecdynamics.CurveParams(p, a, b)
+                    n = ecdynamics.curve_order(curve)
+                    if abs(n - edge) <= 3 and n not in sizes:
+                        base = max(ec_brute_points(p, a, b),
+                                   key=lambda pt: _point_order(curve, pt, n))
+                        sizes[n] = ecdynamics.ECExpMap(curve, base, n=n)
+        assert sorted(sizes) == list(range(edge - 3, edge + 4)) and small_order > 0
+        for m in sizes.values():
+            table = ecdynamics.ec_table(m).tolist()
+            assert table == [ecdynamics.ec_apply(m, u) for u in range(m.n)], m
+        maps += sizes.values()
+        assert {m.n % 2 for m in maps} == {0, 1}
+        for m in maps:
+            table = ecdynamics.ec_table(m)
+            for k_max in range(1, 9):
+                full = dynamics._census_from_table(table, k_max, 1)
+                assert ecdynamics.ec_census(m, k_max) == full, (m, k_max)
 
     def test_divisor_monotonicity(self):
         rng = random.Random(44)
