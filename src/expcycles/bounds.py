@@ -6,8 +6,10 @@ Three bound families are evaluated against exact censuses:
   k=2:  N <= ceil(2p/z) + 2 + 2g**(2z) with z = ceil(log p / (3 log g))
   k=3:  N <= (3p + g**(2g+1) + g + 1) / 4
 
-All comparisons are exact: integer forms for k=1 and k=2, rationals for
-k=3. verify decides all three; thm1_sweep lists k=1 violations for all g.
+All comparisons are exact integer inequalities. verify decides all
+three; thm1_sweep lists k=1 violations for all g. Above THM3_EXACT_BITS
+verify computes no power: there g**(2g+1) >= 2**512 > 4p (p < 2**63),
+so the k=3 bound holds and is vacuous.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from .modarith import primes_in_range
 
 # Smallest p for which the fixed-point bound is guaranteed.
 THM1_MIN_P = 11
+
+# Largest (2g+1) * g.bit_length() for which verify builds g**(2g+1).
+THM3_EXACT_BITS = 1024
 
 
 def thm1_bound(p: int) -> float:
@@ -83,7 +88,7 @@ class BoundReport:
     thm2_z: int | None
     thm2_value: int | None
     thm2_ok: bool
-    thm3_value: Fraction
+    thm3_value: str
     thm3_ok: bool
     notes: tuple[str, ...]
 
@@ -102,7 +107,9 @@ def verify(m: dynamics.ExpMap, census: dynamics.CycleCensus | None = None) -> Bo
 
     A bound exceeding p-1 is noted as vacuous (the count can never reach
     it). g = 1 is degenerate for the k=2 route: the map is constant, so
-    N(2) = 1 is checked directly and z is omitted.
+    N(2) = 1 is checked directly and z is omitted. thm3_value is the
+    exact k=3 bound: its decimal ("17", "623.5") up to THM3_EXACT_BITS,
+    else "(A + g**E)/4" with A = 3p+g+1 and E = 2g+1.
     """
     p, g = m.p, m.g
     if census is None:
@@ -131,9 +138,15 @@ def verify(m: dynamics.ExpMap, census: dynamics.CycleCensus | None = None) -> Bo
         if t2_value > p - 1:
             notes.append("thm2: vacuous (bound exceeds p-1)")
 
-    t3_value = thm3_bound(p, g)
-    t3_ok = n3 <= t3_value
-    if t3_value > p - 1:
+    if (2 * g + 1) * g.bit_length() <= THM3_EXACT_BITS:
+        t3 = thm3_bound(p, g)
+        whole, half = divmod(int(2 * t3), 2)  # 3p+1 and g + g**(2g+1) are even
+        t3_value = str(whole) + ("", ".5")[half]
+        t3_ok, t3_vacuous = n3 <= t3, t3 > p - 1
+    else:  # g**(2g+1) >= 2**((2g+1)(bit_length-1)) >= 2**512 > 4p
+        t3_value = f"({3 * p + g + 1} + {g}**{2 * g + 1})/4"
+        t3_ok = t3_vacuous = True
+    if t3_vacuous:
         notes.append("thm3: vacuous (bound exceeds p-1)")
 
     return BoundReport(

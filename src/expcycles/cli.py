@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from multiprocessing import Pool
 
 from . import bounds, dynamics, ecdynamics, lemmas
@@ -32,15 +31,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
-
-
-def fraction_decimal(value: Fraction) -> str:
-    """Exact decimal rendering; denominators here always divide 4."""
-    whole, rem = divmod(value.numerator, value.denominator)
-    if rem == 0:
-        return str(whole)
-    frac = {(1, 4): ".25", (1, 2): ".5", (3, 4): ".75"}[(rem, value.denominator)]
-    return f"{whole}{frac}"
 
 
 def _parse_g_values(text: str) -> list[int]:
@@ -193,7 +183,7 @@ def _bound_fields(report: bounds.BoundReport) -> dict:
         "bounds": {
             "thm1": report.thm1_value,
             "thm2": {"z": report.thm2_z, "value": report.thm2_value},
-            "thm3": fraction_decimal(report.thm3_value),
+            "thm3": report.thm3_value,
         },
         "flags": {
             "thm1_applicable": report.thm1_applicable,

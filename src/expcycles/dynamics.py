@@ -17,11 +17,12 @@ graph budget charges about 40 bytes per element of <g>.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
-from a given first start (0 for S, 1 for the curve map). Only exp_table
-(g**u mod p, for lemmas) and the all-bases fixed-point count refuse p
-above _NUMPY_MOD_LIMIT (about 3.04e9, where int64 products stop being
-exact and a table of size p would exceed 24 GB); above it _subgroup_map
-runs in Python, so every census route and fixed_points still run.
+from a given first start (0 for S, 1 for the curve map). Only the passes
+over all of {0,...,p-1} (the all-bases fixed-point count and the
+3-periodic sets of lemmas) refuse p above _NUMPY_MOD_LIMIT (about
+3.04e9, where int64 products stop being exact and a table of size p
+would exceed 24 GB); above it _subgroup_map runs in Python, so every
+census route and fixed_points still run.
 """
 
 from __future__ import annotations
@@ -207,18 +208,6 @@ def _require_int64_exact(p: int) -> None:
             f"p={p} exceeds {_NUMPY_MOD_LIMIT}, the largest modulus whose table "
             "products are exact in int64"
         )
-
-
-def exp_table(m: ExpMap) -> np.ndarray:
-    """Table T with T[u] = g**u mod p for u in 1..p-1; T[0] is a 0 sentinel.
-
-    Built in place by _pow_range in int64; p above _NUMPY_MOD_LIMIT
-    raises MemoryBudgetError.
-    """
-    _require_int64_exact(m.p)
-    table = _pow_range(m.g, m.p, m.p)
-    table[0] = 0
-    return table
 
 
 def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:

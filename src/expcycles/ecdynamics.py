@@ -23,9 +23,8 @@ additions. Each chunk's slope denominators are inverted by one product
 tree, _batch_inverse: about 3 modular multiplies per element plus one
 scalar inverse. point_add and scalar_mul stay the scalar group law;
 ec_apply, one scalar_mul per value, is the independent check of the table.
-_x_half and curve_order, like dynamics.exp_table, refuse p above the
-int64-exact limit dynamics._NUMPY_MOD_LIMIT, where their products would
-overflow silently.
+_x_half and curve_order refuse p above the int64-exact limit
+dynamics._NUMPY_MOD_LIMIT, where their products would overflow silently.
 """
 
 from __future__ import annotations

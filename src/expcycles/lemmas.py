@@ -175,11 +175,15 @@ def three_periodic_set(m: dynamics.ExpMap, semantics: str) -> set[int]:
     """
     if semantics not in M_SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; use one of {M_SEMANTICS}")
-    table = dynamics.exp_table(m)
-    base = np.arange(1, m.p, dtype=np.int64)
+    dynamics._require_int64_exact(m.p)
+    return _three_periodic(dynamics._pow_range(m.g, m.p, m.p), semantics)
+
+
+def _three_periodic(table: np.ndarray, semantics: str) -> set[int]:
+    """The 3-periodic points of u -> table[u] among 1..len(table)-1."""
+    base = np.arange(1, len(table), dtype=np.int64)
     t1 = table[1:]
-    t3 = table[table[t1]]
-    mask = t3 == base
+    mask = table[table[t1]] == base
     if semantics == "least":
         mask &= t1 != base
     return {int(u) for u in base[mask]}
@@ -257,11 +261,13 @@ def thm3_verify(p: int, g: int, m_semantics: str = "least") -> Thm3ProofReport:
     if not is_primitive_root(g, p):
         raise ValueError(f"g={g} is not a primitive root mod {p}")
 
-    m_set = three_periodic_set(m, m_semantics)
+    dynamics._require_int64_exact(p)
+    table = dynamics._pow_range(g, p, p)
+    m_set = _three_periodic(table, m_semantics)
     s_index = thm3_S(p, g)
     c_set = adjacency_core(p, m_set)
 
-    tl = dynamics.exp_table(m).tolist()
+    tl = table.tolist()
     phi: dict[int, int] = {}
     x_set: set[int] = set()
     for x in sorted(c_set - s_index):

@@ -1,10 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import trial_primes_between
+from conftest import brute_thm3_holds, trial_primes_between
 from expcycles import bounds, dynamics
 
 
@@ -83,7 +84,7 @@ class TestVerify:
         assert (report.n1, report.n2, report.n3) == (1, 5, 1)
         assert report.thm1_applicable and report.thm1_ok
         assert report.thm2_ok and report.thm2_value == 45
-        assert report.thm3_ok and report.thm3_value == 17
+        assert report.thm3_ok and report.thm3_value == "17"
         assert not report.violated
 
     def test_small_p_inapplicable(self):
@@ -106,6 +107,50 @@ class TestVerify:
         m = dynamics.ExpMap(103, 5)
         census = dynamics.census_naive(m, 3)
         assert bounds.verify(m, census=census) == bounds.verify(m)
+
+
+def parse_thm3(text: str) -> Fraction:
+    """The rational a thm3_value string stands for: a decimal or "(A + g**E)/4"."""
+    compact = re.fullmatch(r"\((\d+) \+ (\d+)\*\*(\d+)\)/4", text)
+    if compact:
+        a, g, e = map(int, compact.groups())
+        return Fraction(a + g**e, 4)
+    assert re.fullmatch(r"\d+(\.5)?", text), text
+    return Fraction(text)
+
+
+class TestThm3Value:
+    def test_decimal_remainders(self):
+        # the numerator 3p + g**(2g+1) + g + 1 is even for odd p, so the
+        # exact decimal ends in nothing or ".5"; never ".25" or ".75"
+        assert bounds.verify(dynamics.ExpMap(11, 2)).thm3_value == "17"
+        assert bounds.verify(dynamics.ExpMap(101, 3)).thm3_value == "623.5"
+        assert bounds.verify(dynamics.ExpMap(13, 2)).thm3_value == "18.5"
+        for p in trial_primes_between(3, 200):
+            for g in range(1, min(p, 40)):
+                assert bounds.thm3_bound(p, g).denominator in (1, 2), (p, g)
+
+    @pytest.mark.parametrize("p, g", [(101, 72), (101, 73), (751, 72), (751, 73),
+                                      (751, 748), (1999, 1998)])
+    def test_both_sides_of_threshold(self, p, g):
+        report = bounds.verify(dynamics.ExpMap(p, g))
+        exact = bounds.thm3_bound(p, g)
+        assert ((2 * g + 1) * g.bit_length() <= bounds.THM3_EXACT_BITS) is (g <= 72)
+        assert report.thm3_value.startswith("(") is (g > 72)
+        assert parse_thm3(report.thm3_value) == exact
+        assert report.thm3_ok is brute_thm3_holds(p, g, report.n3) is True
+        assert ("thm3: vacuous (bound exceeds p-1)" in report.notes) is (exact > p - 1)
+
+    def test_no_power_above_threshold(self, monkeypatch):
+        def refuse(p, g):
+            raise AssertionError(f"thm3_bound({p}, {g}) called")
+
+        monkeypatch.setattr(bounds, "thm3_bound", refuse)
+        for g in (73, 100, 250):
+            report = bounds.verify(dynamics.ExpMap(251, g))
+            assert report.thm3_ok and "thm3: vacuous (bound exceeds p-1)" in report.notes
+        with pytest.raises(AssertionError, match="called"):
+            bounds.verify(dynamics.ExpMap(251, 72))
 
 
 class TestSweeps:

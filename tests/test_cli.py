@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import brute_census, trial_primes_between
+from conftest import brute_census, brute_thm2_holds, brute_thm3_holds, trial_primes_between
 from expcycles import bounds, cli, dynamics, ecdynamics
 
 
@@ -102,6 +103,29 @@ class TestVerifyBoundsCommand:
         lines = out.splitlines()
         assert lines[0].split(",")[:5] == ["p", "g", "n1", "n2", "n3"]
         assert len(lines) == 3
+
+    def test_all_g_past_the_digit_limit(self, capsys):
+        # from (751, 748) on, the exact thm3 decimal would pass Python's
+        # 4300-digit str() limit; the report writes the compact form instead
+        code, out, err = run_cli(capsys, "verify-bounds", "--pmin", "743", "--pmax", "761")
+        assert (code, err) == (0, "")
+        rows = json_rows(out)
+        assert [(r["p"], r["g"]) for r in rows] == [
+            (p, g) for p in (743, 751, 757, 761) for g in range(1, p)]
+        for r in rows:
+            p, g, n1 = r["p"], r["g"], r["n1"]
+            assert r["flags"] == {
+                "thm1_applicable": True,
+                "thm1": n1 <= 0 or (2 * n1 - 1) ** 2 <= 8 * p,
+                "thm2": r["n2"] <= 1 if g == 1 else brute_thm2_holds(p, g, r["n2"]),
+                "thm3": brute_thm3_holds(p, g, r["n3"]),
+            }, (p, g)
+            if g > 72:
+                assert r["bounds"]["thm3"] == f"({3 * p + g + 1} + {g}**{2 * g + 1})/4"
+            else:
+                assert Fraction(r["bounds"]["thm3"]) == bounds.thm3_bound(p, g)
+            vacuous = 4 * (p - 1) < 3 * p + g ** (2 * g + 1) + g + 1
+            assert ("thm3: vacuous (bound exceeds p-1)" in r["notes"]) is vacuous
 
 
 class TestSweepCommand:
@@ -415,13 +439,3 @@ class TestAvgCommand:
     def test_invalid_input(self, capsys):
         assert run_cli(capsys, "avg", "--p", "9", "--k", "1")[0] == 2
         assert run_cli(capsys, "avg", "--p", "7", "--k", "0")[0] == 2
-
-
-class TestFractionDecimal:
-    def test_quarters(self):
-        from fractions import Fraction
-
-        assert cli.fraction_decimal(Fraction(17)) == "17"
-        assert cli.fraction_decimal(Fraction(1247, 2)) == "623.5"
-        assert cli.fraction_decimal(Fraction(69, 4)) == "17.25"
-        assert cli.fraction_decimal(Fraction(71, 4)) == "17.75"

@@ -12,7 +12,7 @@ from conftest import (
     brute_table,
     trial_primes_between,
 )
-from expcycles import dynamics
+from expcycles import dynamics, lemmas
 from expcycles.modarith import multiplicative_order
 
 
@@ -129,17 +129,17 @@ class TestCensusNaive:
                         assert c.n_dividing[d] <= c.n_dividing[k]
 
 
-class TestExpTable:
+class TestPowRange:
     def test_matches_pow_small(self):
         for p, g in [(7, 3), (11, 2), (97, 5), (101, 7), (499, 7)]:
-            table = dynamics.exp_table(dynamics.ExpMap(p, g))
-            assert table[0] == 0
-            for u in range(1, p):
-                assert int(table[u]) == pow(g, u, p)
+            for count in (0, 1, 2, 5, p - 1, p, p + 3):
+                powers = dynamics._pow_range(g, count, p)
+                assert powers.dtype == np.int64
+                assert powers.tolist() == [pow(g, u, p) for u in range(count)]
 
     def test_matches_pow_sampled_large(self):
         p, g = 99991, 3
-        table = dynamics.exp_table(dynamics.ExpMap(p, g))
+        table = dynamics._pow_range(g, p, p)
         rng = random.Random(6)
         for u in [1, 2, p - 1] + [rng.randint(1, p - 1) for _ in range(200)]:
             assert int(table[u]) == pow(g, u, p)
@@ -192,11 +192,12 @@ class TestCensusRoutes:
         m = dynamics.ExpMap(101, 7)
         naive = dynamics.census_naive(m, 6)
         assert dynamics.census_table(m, 6) == naive
-        # the limit lowered just below p stands in for p > 3.04e9: exp_table
-        # refuses; the routes on <g> build S in Python and still run
+        # the limit lowered just below p stands in for p > 3.04e9: the
+        # full power table of the 3-periodic set refuses; the routes on <g>
+        # build S in Python and still run
         monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 100)
         with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
-            dynamics.exp_table(m)
+            lemmas.three_periodic_set(m, "least")
         assert dynamics.census_table(m, 6) == naive
         _, derived = dynamics.census_graph(m, k_max=6)
         assert derived == naive
