@@ -15,7 +15,6 @@ so the k=3 bound holds and is vacuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 from . import dynamics
@@ -66,8 +65,9 @@ def thm2_bound_explicit(p: int, g: int) -> tuple[int, int]:
     return z, bound
 
 
-def thm3_bound(p: int, g: int) -> Fraction:
-    """(3p + g**(2g+1) + g + 1) / 4 as an exact rational."""
+def thm3_bound(p: int, g: int):
+    """(3p + g**(2g+1) + g + 1) / 4 as an exact Fraction."""
+    from fractions import Fraction  # here, so that importing bounds does not load it
     if g < 1:
         raise ValueError("g must be >= 1")
     return Fraction(3 * p + g ** (2 * g + 1) + g + 1, 4)

@@ -14,14 +14,14 @@ the pipe early, as `... | head -1` does.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import sys
-from multiprocessing import Pool
 
-from . import bounds, dynamics, ecdynamics, lemmas
+# lemmas, csv and multiprocessing load where a command uses them. bounds and
+# ecdynamics stay: perfbench's tracer wraps them after importing this module.
+from . import bounds, dynamics, ecdynamics
 from .modarith import is_prime, is_primitive_root, primes_in_range
 
 DEFAULT_SEED = 42
@@ -68,7 +68,10 @@ def _emit(args, results, columns: list[str], flatten) -> int:
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     code = EXIT_OK
     try:
-        writer = csv.writer(stream) if args.csv else None
+        writer = None
+        if args.csv:
+            import csv
+            writer = csv.writer(stream)
         if writer:
             writer.writerow(columns)
         for row, violated in results:
@@ -232,6 +235,7 @@ def _run_tasks(tasks: list, worker_fn, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker_fn, tasks)
         return
+    from multiprocessing import Pool
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(workers) as pool:
         yield from pool.imap(worker_fn, tasks, chunksize=chunk)
@@ -287,6 +291,7 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------- lemma
 
 def _fact1_rows(args, prime_pool: list[int]):
+    from . import lemmas
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.trials):
@@ -315,6 +320,7 @@ def cmd_lemma_fact1(args) -> int:
 
 
 def _fact2_rows(g_values: list[int], pmax: int):
+    from . import lemmas
     for g in g_values:
         checked = 0
         violations: list[dict] = []
@@ -336,6 +342,7 @@ def cmd_lemma_fact2(args) -> int:
 
 
 def _comb_rows(args):
+    from . import lemmas
     rng = random.Random(args.seed)
     failures = []
     for i in range(args.random):
@@ -363,7 +370,7 @@ def cmd_lemma_comb(args) -> int:
                             len(r["failures"])])
 
 
-def _thm3_row(report: lemmas.Thm3ProofReport) -> tuple[dict, bool]:
+def _thm3_row(report) -> tuple[dict, bool]:
     row = {
         "p": report.p,
         "g": report.g,
@@ -398,6 +405,7 @@ def _thm3_flat(row: dict) -> list:
 
 
 def cmd_lemma_thm3(args) -> int:
+    from . import lemmas
     if args.p is not None:
         _require_prime(args.p)
         candidates = [args.p]
@@ -538,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--pmin", type=int)
     w.add_argument("--pmax", type=int)
     w.add_argument("--g", type=int, required=True)
-    w.add_argument("--m-semantics", choices=list(lemmas.M_SEMANTICS), default="least")
+    w.add_argument("--m-semantics", choices=["least", "dividing"], default="least")
     _add_output_flags(w)
     w.set_defaults(func=cmd_lemma_thm3)
 

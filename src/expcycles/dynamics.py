@@ -10,10 +10,12 @@ Neither fast route builds a table of size p. All cycles lie in the
 image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
 one tail step. census_table and fixed_points scan S; decompose_table
-finds the cycles and the longest tail of S by peeling leaves (one numpy
-round per tail step, O(t) work in all) and the cycle lengths by
-log-depth pointer jumping. It returns (cycle_lengths, max_tail). The
-graph budget charges about 40 bytes per element of <g>.
+finds the cycles and the longest tail of S by peeling leaves, in numpy
+while the frontier is wide and in Python once it is narrow, and the
+cycle lengths by a Python walk on small cyclic sets and a sparse ruling
+set on large ones (such as all of <g> when g is a primitive root). It
+returns (cycle_lengths, max_tail). The graph budget charges about 28
+bytes per element of <g>.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -40,10 +42,19 @@ DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
 # indices (t <= 2**31); int64 indices double it. Peak RSS over the
-# interpreter baseline (getrusage) was 25 and 21 B per element for the
-# proper subgroups t = 1.43e6 and 5e6, and 30 B for the permutations
-# t = 1e7 and 2e7, whose min-label pointer jumping runs on all t nodes.
-_GRAPH_BYTES_PER_NODE = 40
+# interpreter baseline (getrusage) was 21.4 and 20.0 B per element for
+# the proper subgroups t = 1.43e6 and 5e6, and 20.0 B for the
+# permutations t = 1e7 and 2e7 (np.bincount's intp copy of the table
+# and its counts); 28 leaves 1.3x headroom over the maximum.
+_GRAPH_BYTES_PER_NODE = 28
+
+# decompose_table's crossovers, measured at n = 1.43e6 and 1e7: a numpy
+# round over at most _NARROW items costs more than Python steps on them;
+# a residual graph of at most _RESIDUAL_LIMIT nodes finishes on Python
+# lists; every _RULER_STRIDE-th cyclic node is a ruler.
+_NARROW = 256
+_RESIDUAL_LIMIT = 2**16
+_RULER_STRIDE = 256
 
 # Largest modulus for which int64 products a*b with a, b < p stay exact.
 _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
@@ -254,57 +265,144 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     max_tail): one entry per cycle, and the most steps any node takes to
     reach a cyclic node (0 for a permutation), as an int.
 
-    * Cyclic nodes and the longest tail come from peeling leaves in
-      topological order (Kahn): each round removes the nodes no
-      remaining node maps to. The survivors are the cyclic nodes, and
-      the number of rounds is the longest tail. This is O(n) work in
-      total, but one round per tail step at about 22-30 us each once
-      the frontier is tiny: a random-like map needs about sqrt(n)
-      rounds (longest tail 1,680 at n = 1.43e6, 6,982 at n = 5e6), a
-      chain table of length L about 25 us * L.
-    * Cycle lengths come from min-label pointer jumping on the cyclic
-      permutation, counted per label.
+    Cyclic nodes and the longest tail come from peeling leaves in
+    topological order (Kahn): each round removes the nodes no remaining
+    node maps to. The survivors are the cyclic nodes, and the number of
+    rounds is the longest tail. The work follows the shape of the graph:
+
+    * A round over more than _NARROW leaves is one numpy np.unique pass.
+    * Narrower rounds take a Python step per leaf, not ~25 us of numpy
+      calls. A residual (unpeeled nodes and frontier) of at most
+      _RESIDUAL_LIMIT nodes is relabelled compactly and moved to lists
+      first, and its cycles are walked there; so is any graph that small.
+    * A larger cyclic set (a permutation of that size, for one) gets its
+      cycle lengths from a sparse ruling set (_ruling_set_cycles).
     """
     succ = np.asarray(table)[lo:]
     if lo:
         succ = succ - lo
     n = len(succ)
-    index_type = np.int32 if n <= 2**31 else np.int64
-    succ = succ.astype(index_type, copy=False)
+    succ = succ.astype(np.int32 if n <= 2**31 else np.int64, copy=False)
 
-    indeg = np.bincount(succ, minlength=n)
+    indeg = np.bincount(succ, minlength=n).astype(succ.dtype, copy=False)
     leaves = np.flatnonzero(indeg == 0)
     max_tail = 0
-    while leaves.size:
+    residual = n  # the unpeeled nodes and the frontier
+    while leaves.size > _NARROW and n > _RESIDUAL_LIMIT:
+        residual -= leaves.size
         max_tail += 1
         heads, hits = np.unique(succ[leaves], return_counts=True)
         indeg[heads] -= hits
         leaves = heads[indeg[heads] == 0]
-    cyclic = indeg > 0
-    cyclic_count = int(np.count_nonzero(cyclic))
-    del indeg, leaves
+    on_lists = residual <= _RESIDUAL_LIMIT
+    if on_lists:
+        if residual < n:
+            live = indeg > 0
+            live[leaves] = True
+            nodes = np.flatnonzero(live)
+            succ, indeg, leaves = _restrict(succ, nodes), indeg[nodes], np.searchsorted(nodes, leaves)
+        succ, indeg = succ.tolist(), indeg.tolist()
+    # A frontier never widens (each leaf frees at most its successor), so
+    # every round left is narrow: a Python step per leaf, on lists when
+    # the residual is small, else on the arrays themselves.
+    frontier = leaves.tolist()
+    while frontier:
+        residual -= len(frontier)
+        max_tail += 1
+        heads = []
+        for u in frontier:
+            v = succ[u]
+            indeg[v] -= 1
+            if not indeg[v]:
+                heads.append(v)
+        frontier = heads
+    if on_lists:
+        # each cyclic node keeps exactly one predecessor, the one on its cycle
+        return np.array(_cycle_sums(succ, indeg), dtype=np.int64), max_tail
+    if residual < n:
+        succ = _restrict(succ, np.flatnonzero(indeg))
+    return np.array(_ruling_set_cycles(succ), dtype=np.int64), max_tail
 
-    # Cycles: the value is the least label among the next 2**r nodes of
-    # the cycle; a round that changes no label leaves every cycle's min.
-    if cyclic_count == n:
-        perm = succ
-    else:
-        nodes = np.flatnonzero(cyclic).astype(index_type)
-        rank = np.zeros(n, dtype=index_type)
-        rank[nodes] = np.arange(cyclic_count, dtype=index_type)
-        perm = rank[succ[nodes]]
-        del nodes, rank
-    state = np.stack([np.arange(cyclic_count, dtype=index_type), perm], axis=1)
-    del perm
+
+def _restrict(succ: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """succ on the sorted node set `nodes`, which it maps into itself, relabelled 0..len-1."""
+    rank = np.zeros(len(succ), dtype=succ.dtype)
+    rank[nodes] = np.arange(len(nodes), dtype=succ.dtype)
+    return rank[succ[nodes]]
+
+
+def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
+    """Sum of weight around each cycle of succ through nodes of positive
+    weight (succ must map each such node to another); zeroes weight."""
+    sums = []
+    for start in range(len(succ)):
+        total, u = 0, start
+        while weight[u]:
+            total += weight[u]
+            weight[u] = 0
+            u = succ[u]
+        if total:
+            sums.append(total)
+    return sums
+
+
+def _ruling_set_cycles(perm: np.ndarray) -> list[int]:
+    """Cycle lengths of the permutation perm by a sparse ruling set.
+
+    Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One walker
+    per ruler steps in lockstep, one gather per round, to the next ruler;
+    the last _NARROW walkers finish in Python. Summing the gaps around
+    the ruler permutation gives every cycle that holds a ruler (the
+    sparse ruling set of list ranking: Reid-Miller 1994, Sibeyn 1997).
+    The unvisited nodes lie on ruler-free cycles: walked in Python if
+    few, else (the identity, all 3-cycles) by min-label pointer jumping.
+    """
+    if len(perm) <= _RESIDUAL_LIMIT:
+        return _cycle_sums(perm.tolist(), [1] * len(perm))
+    rulers = np.arange(0, len(perm), _RULER_STRIDE)
+    mark = np.zeros(len(perm), dtype=np.int8)  # 0 unvisited, 1 walked, 2 ruler
+    mark[rulers] = 2
+    gap = np.empty(len(rulers), dtype=np.int64)  # steps to the next ruler
+    nxt = np.empty_like(gap)  # index of the next ruler
+    # intp positions spare every gather a conversion of its index array
+    active, pos = np.arange(len(rulers)), perm[rulers].astype(np.intp)
+    steps = 0
+    while True:
+        steps += 1
+        done = mark[pos] == 2
+        if done.any():
+            nxt[active[done]] = pos[done] // _RULER_STRIDE
+            gap[active[done]] = steps
+            active, pos = active[~done], pos[~done]
+        if active.size <= _NARROW:
+            break
+        mark[pos] = 1
+        pos = perm[pos].astype(np.intp)
+    for i, u in zip(active.tolist(), pos.tolist()):
+        walked = steps
+        while mark[u] != 2:
+            mark[u] = 1
+            u = perm[u]
+            walked += 1
+        gap[i], nxt[i] = walked, u // _RULER_STRIDE
+    lengths = _cycle_sums(nxt.tolist(), gap.tolist())
+
+    rest = np.flatnonzero(mark == 0)
+    if rest.size <= _RESIDUAL_LIMIT:
+        return lengths + _cycle_sums(_restrict(perm, rest).tolist(), [1] * rest.size)
+    # The value is the least label among the next 2**r nodes of the
+    # cycle; a round that changes no label leaves every cycle's min.
+    perm = _restrict(perm, rest)
+    state = np.stack([np.arange(len(perm), dtype=perm.dtype), perm], axis=1)
+    del perm, rest
     while True:
         ahead = np.take(state, state[:, 1], axis=0)
         np.minimum(ahead[:, 0], state[:, 0], out=ahead[:, 0])
         if np.array_equal(ahead[:, 0], state[:, 0]):
             break
         state = ahead
-    label = state[:, 0]
-    counts = np.bincount(label)
-    return counts[counts > 0], max_tail
+    counts = np.bincount(state[:, 0])
+    return lengths + counts[counts > 0].tolist()
 
 
 def _graph_summary(cycle_lengths: np.ndarray, max_tail: int) -> FunctionalGraphSummary:

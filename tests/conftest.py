@@ -79,15 +79,16 @@ def brute_cycle_multiset(p: int, g: int) -> list[int]:
 def brute_orbit_structure(table, nodes) -> tuple[list[int], int]:
     """(sorted cycle lengths, longest tail) of u -> table[u] on nodes.
 
-    Walks every orbit until a point repeats, then walks every point
-    until it reaches a point that returns to itself.
+    Walks every orbit until a point repeats or a known cycle is met,
+    then walks every point until it reaches a point that returns to
+    itself.
     """
     on_cycle: set[int] = set()
     lengths: list[int] = []
     for s in nodes:
         seen = set()
         u = s
-        while u not in seen:
+        while u not in seen and u not in on_cycle:
             seen.add(u)
             u = table[u]
         if u in on_cycle:

@@ -439,3 +439,25 @@ class TestAvgCommand:
     def test_invalid_input(self, capsys):
         assert run_cli(capsys, "avg", "--p", "9", "--k", "1")[0] == 2
         assert run_cli(capsys, "avg", "--p", "7", "--k", "0")[0] == 2
+
+
+class TestImports:
+    def test_parser_leaves_command_modules_unloaded(self):
+        # lemmas, fractions (via bounds), csv and multiprocessing load only
+        # in the commands that use them
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        modules = ("expcycles.lemmas", "fractions", "csv", "multiprocessing")
+        code = ("import sys, expcycles.cli as c; c.build_parser(); "
+                f"print([m for m in {modules!r} if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "[]"
+
+    def test_m_semantics_choices_are_the_lemma_semantics(self):
+        from expcycles import lemmas
+
+        parser = cli.build_parser()
+        for semantics in lemmas.M_SEMANTICS:
+            args = parser.parse_args(["lemma", "thm3", "--p", "19", "--g", "2",
+                                      "--m-semantics", semantics])
+            assert args.m_semantics == semantics

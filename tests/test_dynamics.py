@@ -287,7 +287,7 @@ class TestDecomposeTable:
     def check(table, lo=0):
         cycle_lengths, max_tail = dynamics.decompose_table(np.asarray(table), lo)
         assert type(max_tail) is int
-        expected = brute_orbit_structure(list(table), range(lo, len(table)))
+        expected = brute_orbit_structure(np.asarray(table).tolist(), range(lo, len(table)))
         assert (sorted(cycle_lengths.tolist()), max_tail) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
@@ -325,6 +325,85 @@ class TestDecomposeTable:
         lo, n = 5, 300
         table = np.concatenate([rng.integers(-50, 50, lo), rng.integers(lo, lo + n, n)])
         self.check(table, lo)
+
+    # The tables below straddle the switches of decompose_table: a frontier
+    # of _NARROW leaves, a residual of _RESIDUAL_LIMIT nodes, and the
+    # ruling set (stride _RULER_STRIDE) on cyclic sets above the limit.
+
+    @staticmethod
+    def comb(cycle: int, chains: list[int], seed: int = 0) -> np.ndarray:
+        """A cycle of the given length fed by chains of the given lengths,
+        each ending on its own cycle node, under a random relabelling."""
+        nodes = cycle + sum(chains)
+        table = [(i + 1) % cycle for i in range(cycle)]
+        for k, length in enumerate(chains):
+            start = len(table)
+            table += list(range(start + 1, start + length)) + [k * cycle // len(chains)]
+        label = np.random.default_rng(seed).permutation(nodes)
+        out = np.empty(nodes, dtype=np.int64)
+        out[label] = label[table]
+        return out
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_frontier_either_side_of_narrow(self, width, extra):
+        # _NARROW or _NARROW + 1 leaves: peeled in Python, or first in numpy
+        limit = dynamics._RESIDUAL_LIMIT
+        self.check(self.comb(limit + extra, [5] * (dynamics._NARROW + width), seed=width))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_residual_either_side_of_limit(self, extra):
+        # 2 * _NARROW chains of length 2 keep two numpy rounds wide; the 64
+        # long chains then leave a narrow residual of _RESIDUAL_LIMIT + extra
+        chains = [2] * (2 * dynamics._NARROW) + [50] * 64
+        cycle = dynamics._RESIDUAL_LIMIT + extra - 64 * 48
+        self.check(self.comb(cycle, chains, seed=extra))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_whole_graph_either_side_of_limit(self, extra):
+        # _RESIDUAL_LIMIT nodes go to Python at once; one more, and the
+        # 2 * _NARROW leaves take numpy rounds first
+        chains = [3] * (2 * dynamics._NARROW)
+        self.check(self.comb(dynamics._RESIDUAL_LIMIT + extra - sum(chains), chains))
+
+    def test_permutations_above_the_limit(self):
+        n = dynamics._RESIDUAL_LIMIT + 1000
+        rng = np.random.default_rng(3)
+        self.check(np.arange(n))  # all fixed points
+        self.check(np.arange(n) ^ 1)  # all 2-cycles
+        self.check(rng.permutation(n))
+        order = rng.permutation(n)  # one giant cycle
+        giant = np.empty(n, dtype=np.int64)
+        giant[order] = np.roll(order, -1)
+        self.check(giant)
+
+    def test_rulers_in_a_row(self):
+        # one cycle through every ruler first, then every other node: a
+        # single walker covers almost the whole cycle
+        n, stride = dynamics._RESIDUAL_LIMIT + 1000, dynamics._RULER_STRIDE
+        is_ruler = np.arange(n) % stride == 0
+        order = np.concatenate([np.flatnonzero(is_ruler), np.flatnonzero(~is_ruler)])
+        table = np.empty(n, dtype=np.int64)
+        table[order] = np.roll(order, -1)
+        self.check(table)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_cycles_that_avoid_every_ruler(self, factor):
+        # rulers are fixed points; the other nodes form 3-cycles and one
+        # short cycle, so no walker visits them. Below the limit they are
+        # walked in Python, above it (factor 2) by min-label pointer jumping.
+        n, stride = factor * dynamics._RESIDUAL_LIMIT + 100, dynamics._RULER_STRIDE
+        table = np.arange(n)
+        rest = np.flatnonzero(np.arange(n) % stride != 0)
+        rest, tail = rest[: len(rest) - len(rest) % 3 - 3], rest[len(rest) - len(rest) % 3 - 3 :]
+        triples = rest.reshape(-1, 3)
+        table[triples[:, 0]], table[triples[:, 1]], table[triples[:, 2]] = (
+            triples[:, 1], triples[:, 2], triples[:, 0])
+        table[tail] = np.roll(tail, -1)
+        self.check(table)
+
+    def test_long_chain_into_a_large_cycle(self):
+        self.check(self.comb(dynamics._RESIDUAL_LIMIT + 10, [2000]))
 
 
 def oracle_summary(p: int, g: int) -> dynamics.FunctionalGraphSummary:
