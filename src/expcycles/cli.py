@@ -236,6 +236,9 @@ def _run_tasks(tasks: list, worker_fn, workers: int):
         yield from map(worker_fn, tasks)
         return
     from multiprocessing import Pool
+    # Both pool commands verify bounds, and bounds.thm3_bound imports
+    # fractions: load it once here, so the forked workers inherit it.
+    import fractions
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(workers) as pool:
         yield from pool.imap(worker_fn, tasks, chunksize=chunk)
@@ -546,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--pmin", type=int)
     w.add_argument("--pmax", type=int)
     w.add_argument("--g", type=int, required=True)
-    w.add_argument("--m-semantics", choices=["least", "dividing"], default="least")
+    w.add_argument("--m-semantics", choices=dynamics.M_SEMANTICS, default="least")
     _add_output_flags(w)
     w.set_defaults(func=cmd_lemma_thm3)
 

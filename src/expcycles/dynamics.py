@@ -10,12 +10,12 @@ Neither fast route builds a table of size p. All cycles lie in the
 image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
 one tail step. census_table and fixed_points scan S; decompose_table
-finds the cycles and the longest tail of S by peeling leaves, in numpy
-while the frontier is wide and in Python once it is narrow, and the
-cycle lengths by a Python walk on small cyclic sets and a sparse ruling
-set on large ones (such as all of <g> when g is a primitive root). It
-returns (cycle_lengths, max_tail). The graph budget charges about 28
-bytes per element of <g>.
+finds the cyclic nodes and the longest tail of S by peeling leaves, in
+numpy while the frontier is wide and in Python once it is narrow, and
+the cycle lengths by a Python walk, by pointer jumping or by a sparse
+ruling set as the cyclic set grows (it is all of <g> when g is a
+primitive root). It returns (cycle_lengths, max_tail). The graph
+budget charges about 28 bytes per element of <g>.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -42,19 +42,25 @@ DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
 # indices (t <= 2**31); int64 indices double it. Peak RSS over the
-# interpreter baseline (getrusage) was 21.4 and 20.0 B per element for
+# interpreter baseline (getrusage) was 20.7 and 20.0 B per element for
 # the proper subgroups t = 1.43e6 and 5e6, and 20.0 B for the
 # permutations t = 1e7 and 2e7 (np.bincount's intp copy of the table
-# and its counts); 28 leaves 1.3x headroom over the maximum.
+# and its counts); 28 leaves 1.35x headroom over the maximum.
 _GRAPH_BYTES_PER_NODE = 28
 
-# decompose_table's crossovers, measured at n = 1.43e6 and 1e7: a numpy
-# round over at most _NARROW items costs more than Python steps on them;
-# a residual graph of at most _RESIDUAL_LIMIT nodes finishes on Python
-# lists; every _RULER_STRIDE-th cyclic node is a ruler.
+# decompose_table's crossovers, measured in process (CHANGES.md): a numpy
+# peel round over at most _NARROW leaves costs more than a Python step per
+# leaf; a permutation of at most _WALK_LIMIT nodes is walked in Python, of
+# at most _JUMP_LIMIT by pointer jumping, and a larger one by a ruling set
+# of every _RULER_STRIDE-th node.
 _NARROW = 256
-_RESIDUAL_LIMIT = 2**16
-_RULER_STRIDE = 256
+_WALK_LIMIT = 2**10
+_JUMP_LIMIT = 2**14
+_RULER_STRIDE = 64
+
+# The two readings of "periodic point of period k" (see CycleCensus) that
+# the lemmas' 3-periodic sets and the CLI's --m-semantics choose between.
+M_SEMANTICS = ("least", "dividing")
 
 # Largest modulus for which int64 products a*b with a, b < p stay exact.
 _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
@@ -268,15 +274,11 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     Cyclic nodes and the longest tail come from peeling leaves in
     topological order (Kahn): each round removes the nodes no remaining
     node maps to. The survivors are the cyclic nodes, and the number of
-    rounds is the longest tail. The work follows the shape of the graph:
-
-    * A round over more than _NARROW leaves is one numpy np.unique pass.
-    * Narrower rounds take a Python step per leaf, not ~25 us of numpy
-      calls. A residual (unpeeled nodes and frontier) of at most
-      _RESIDUAL_LIMIT nodes is relabelled compactly and moved to lists
-      first, and its cycles are walked there; so is any graph that small.
-    * A larger cyclic set (a permutation of that size, for one) gets its
-      cycle lengths from a sparse ruling set (_ruling_set_cycles).
+    rounds is the longest tail. A round over more than _NARROW leaves is
+    one numpy np.unique pass; a narrower one takes a Python step per
+    leaf on memoryviews of the arrays (as fast to index as lists, with
+    no copy) instead of ~25 us of numpy calls. The cyclic nodes, as a
+    permutation, then go to _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -287,41 +289,27 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     indeg = np.bincount(succ, minlength=n).astype(succ.dtype, copy=False)
     leaves = np.flatnonzero(indeg == 0)
     max_tail = 0
-    residual = n  # the unpeeled nodes and the frontier
-    while leaves.size > _NARROW and n > _RESIDUAL_LIMIT:
-        residual -= leaves.size
+    while leaves.size > _NARROW:
         max_tail += 1
         heads, hits = np.unique(succ[leaves], return_counts=True)
         indeg[heads] -= hits
         leaves = heads[indeg[heads] == 0]
-    on_lists = residual <= _RESIDUAL_LIMIT
-    if on_lists:
-        if residual < n:
-            live = indeg > 0
-            live[leaves] = True
-            nodes = np.flatnonzero(live)
-            succ, indeg, leaves = _restrict(succ, nodes), indeg[nodes], np.searchsorted(nodes, leaves)
-        succ, indeg = succ.tolist(), indeg.tolist()
     # A frontier never widens (each leaf frees at most its successor), so
-    # every round left is narrow: a Python step per leaf, on lists when
-    # the residual is small, else on the arrays themselves.
+    # every round left is narrow.
+    step, left = memoryview(succ), memoryview(indeg)
     frontier = leaves.tolist()
     while frontier:
-        residual -= len(frontier)
         max_tail += 1
         heads = []
         for u in frontier:
-            v = succ[u]
-            indeg[v] -= 1
-            if not indeg[v]:
+            v = step[u]
+            left[v] -= 1
+            if not left[v]:
                 heads.append(v)
         frontier = heads
-    if on_lists:
-        # each cyclic node keeps exactly one predecessor, the one on its cycle
-        return np.array(_cycle_sums(succ, indeg), dtype=np.int64), max_tail
-    if residual < n:
+    if np.count_nonzero(indeg) < n:
         succ = _restrict(succ, np.flatnonzero(indeg))
-    return np.array(_ruling_set_cycles(succ), dtype=np.int64), max_tail
+    return np.array(_cycle_lengths(succ), dtype=np.int64), max_tail
 
 
 def _restrict(succ: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -346,19 +334,21 @@ def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
     return sums
 
 
-def _ruling_set_cycles(perm: np.ndarray) -> list[int]:
-    """Cycle lengths of the permutation perm by a sparse ruling set.
+def _cycle_lengths(perm: np.ndarray) -> list[int]:
+    """Cycle lengths of the permutation perm.
 
-    Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One walker
-    per ruler steps in lockstep, one gather per round, to the next ruler;
-    the last _NARROW walkers finish in Python. Summing the gaps around
-    the ruler permutation gives every cycle that holds a ruler (the
-    sparse ruling set of list ranking: Reid-Miller 1994, Sibeyn 1997).
-    The unvisited nodes lie on ruler-free cycles: walked in Python if
-    few, else (the identity, all 3-cycles) by min-label pointer jumping.
+    At most _JUMP_LIMIT nodes go to _jump_cycles. A larger perm is split
+    by a sparse ruling set (as in list ranking: Reid-Miller 1994, Sibeyn
+    1997). Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One
+    walker per ruler steps in lockstep, one gather per round, to the next
+    ruler; the last _RULER_STRIDE walkers finish in Python. Summing the
+    gaps around the ruler permutation gives every cycle that holds a
+    ruler. The unvisited nodes lie on ruler-free cycles (all of them but
+    the rulers in the identity or in all 3-cycles): they go to
+    _jump_cycles.
     """
-    if len(perm) <= _RESIDUAL_LIMIT:
-        return _cycle_sums(perm.tolist(), [1] * len(perm))
+    if len(perm) <= _JUMP_LIMIT:
+        return _jump_cycles(perm)
     rulers = np.arange(0, len(perm), _RULER_STRIDE)
     mark = np.zeros(len(perm), dtype=np.int8)  # 0 unvisited, 1 walked, 2 ruler
     mark[rulers] = 2
@@ -374,27 +364,32 @@ def _ruling_set_cycles(perm: np.ndarray) -> list[int]:
             nxt[active[done]] = pos[done] // _RULER_STRIDE
             gap[active[done]] = steps
             active, pos = active[~done], pos[~done]
-        if active.size <= _NARROW:
+        if active.size <= _RULER_STRIDE:
             break
         mark[pos] = 1
         pos = perm[pos].astype(np.intp)
+    gap, nxt = gap.tolist(), nxt.tolist()
+    step, seen = memoryview(perm), memoryview(mark)
     for i, u in zip(active.tolist(), pos.tolist()):
         walked = steps
-        while mark[u] != 2:
-            mark[u] = 1
-            u = perm[u]
+        while seen[u] != 2:
+            seen[u] = 1
+            u = step[u]
             walked += 1
         gap[i], nxt[i] = walked, u // _RULER_STRIDE
-    lengths = _cycle_sums(nxt.tolist(), gap.tolist())
+    lengths = _cycle_sums(nxt, gap)
+    return lengths + _jump_cycles(_restrict(perm, np.flatnonzero(mark == 0)))
 
-    rest = np.flatnonzero(mark == 0)
-    if rest.size <= _RESIDUAL_LIMIT:
-        return lengths + _cycle_sums(_restrict(perm, rest).tolist(), [1] * rest.size)
+
+def _jump_cycles(perm: np.ndarray) -> list[int]:
+    """Cycle lengths of the permutation perm: walked in Python if it has
+    at most _WALK_LIMIT nodes, else by min-label pointer jumping (about
+    log2 of the longest cycle passes over perm)."""
+    if len(perm) <= _WALK_LIMIT:
+        return _cycle_sums(perm.tolist(), [1] * len(perm))
     # The value is the least label among the next 2**r nodes of the
     # cycle; a round that changes no label leaves every cycle's min.
-    perm = _restrict(perm, rest)
     state = np.stack([np.arange(len(perm), dtype=perm.dtype), perm], axis=1)
-    del perm, rest
     while True:
         ahead = np.take(state, state[:, 1], axis=0)
         np.minimum(ahead[:, 0], state[:, 0], out=ahead[:, 0])
@@ -402,7 +397,7 @@ def _ruling_set_cycles(perm: np.ndarray) -> list[int]:
             break
         state = ahead
     counts = np.bincount(state[:, 0])
-    return lengths + counts[counts > 0].tolist()
+    return counts[counts > 0].tolist()
 
 
 def _graph_summary(cycle_lengths: np.ndarray, max_tail: int) -> FunctionalGraphSummary:

@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics
 from .modarith import check_prime_modulus, discrete_log, is_primitive_root
 
-M_SEMANTICS = ("least", "dividing")
+M_SEMANTICS = dynamics.M_SEMANTICS
 
 
 def fact1_check(u: int, p: int, g: int) -> bool:

@@ -452,12 +452,3 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "[]"
-
-    def test_m_semantics_choices_are_the_lemma_semantics(self):
-        from expcycles import lemmas
-
-        parser = cli.build_parser()
-        for semantics in lemmas.M_SEMANTICS:
-            args = parser.parse_args(["lemma", "thm3", "--p", "19", "--g", "2",
-                                      "--m-semantics", semantics])
-            assert args.m_semantics == semantics

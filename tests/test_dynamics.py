@@ -327,8 +327,8 @@ class TestDecomposeTable:
         self.check(table, lo)
 
     # The tables below straddle the switches of decompose_table: a frontier
-    # of _NARROW leaves, a residual of _RESIDUAL_LIMIT nodes, and the
-    # ruling set (stride _RULER_STRIDE) on cyclic sets above the limit.
+    # of _NARROW leaves, cyclic sets of _WALK_LIMIT and _JUMP_LIMIT nodes,
+    # and the ruling set (stride _RULER_STRIDE) above _JUMP_LIMIT.
 
     @staticmethod
     def comb(cycle: int, chains: list[int], seed: int = 0) -> np.ndarray:
@@ -344,30 +344,26 @@ class TestDecomposeTable:
         out[label] = label[table]
         return out
 
-    @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("width", [0, 1])
-    def test_frontier_either_side_of_narrow(self, width, extra):
+    def test_frontier_either_side_of_narrow(self, width):
         # _NARROW or _NARROW + 1 leaves: peeled in Python, or first in numpy
-        limit = dynamics._RESIDUAL_LIMIT
-        self.check(self.comb(limit + extra, [5] * (dynamics._NARROW + width), seed=width))
+        self.check(self.comb(1000, [5] * (dynamics._NARROW + width), seed=width))
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_residual_either_side_of_limit(self, extra):
-        # 2 * _NARROW chains of length 2 keep two numpy rounds wide; the 64
-        # long chains then leave a narrow residual of _RESIDUAL_LIMIT + extra
-        chains = [2] * (2 * dynamics._NARROW) + [50] * 64
-        cycle = dynamics._RESIDUAL_LIMIT + extra - 64 * 48
-        self.check(self.comb(cycle, chains, seed=extra))
+    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "_JUMP_LIMIT"])
+    def test_cyclic_set_either_side_of_limit(self, limit, extra):
+        # wide rounds, then narrow ones, leave one cycle of the limit or one more
+        chains = [2] * (2 * dynamics._NARROW) + [50] * 8
+        self.check(self.comb(getattr(dynamics, limit) + extra, chains, seed=extra))
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_whole_graph_either_side_of_limit(self, extra):
-        # _RESIDUAL_LIMIT nodes go to Python at once; one more, and the
-        # 2 * _NARROW leaves take numpy rounds first
-        chains = [3] * (2 * dynamics._NARROW)
-        self.check(self.comb(dynamics._RESIDUAL_LIMIT + extra - sum(chains), chains))
+    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "_JUMP_LIMIT"])
+    def test_permutation_either_side_of_limit(self, limit, extra):
+        n = getattr(dynamics, limit) + extra
+        self.check(np.random.default_rng(n).permutation(n))
 
     def test_permutations_above_the_limit(self):
-        n = dynamics._RESIDUAL_LIMIT + 1000
+        n = dynamics._JUMP_LIMIT + 1000
         rng = np.random.default_rng(3)
         self.check(np.arange(n))  # all fixed points
         self.check(np.arange(n) ^ 1)  # all 2-cycles
@@ -380,30 +376,34 @@ class TestDecomposeTable:
     def test_rulers_in_a_row(self):
         # one cycle through every ruler first, then every other node: a
         # single walker covers almost the whole cycle
-        n, stride = dynamics._RESIDUAL_LIMIT + 1000, dynamics._RULER_STRIDE
+        n, stride = dynamics._JUMP_LIMIT + 1000, dynamics._RULER_STRIDE
         is_ruler = np.arange(n) % stride == 0
         order = np.concatenate([np.flatnonzero(is_ruler), np.flatnonzero(~is_ruler)])
         table = np.empty(n, dtype=np.int64)
         table[order] = np.roll(order, -1)
         self.check(table)
 
-    @pytest.mark.parametrize("factor", [1, 2])
-    def test_cycles_that_avoid_every_ruler(self, factor):
-        # rulers are fixed points; the other nodes form 3-cycles and one
-        # short cycle, so no walker visits them. Below the limit they are
-        # walked in Python, above it (factor 2) by min-label pointer jumping.
-        n, stride = factor * dynamics._RESIDUAL_LIMIT + 100, dynamics._RULER_STRIDE
+    @pytest.mark.parametrize("free", [dynamics._WALK_LIMIT, dynamics._WALK_LIMIT + 1, None])
+    def test_cycles_that_avoid_every_ruler(self, free):
+        # `free` non-rulers (None: all of them) form 3-cycles and one short
+        # cycle that no walker visits: walked in Python up to _WALK_LIMIT
+        # nodes, else by pointer jumping. The rest form one cycle.
+        n, stride = dynamics._JUMP_LIMIT + 1000, dynamics._RULER_STRIDE
+        is_ruler = np.arange(n) % stride == 0
+        others = np.flatnonzero(~is_ruler)
+        rest = others[:free]
+        big = np.concatenate([np.flatnonzero(is_ruler), others[len(rest):]])
         table = np.arange(n)
-        rest = np.flatnonzero(np.arange(n) % stride != 0)
-        rest, tail = rest[: len(rest) - len(rest) % 3 - 3], rest[len(rest) - len(rest) % 3 - 3 :]
-        triples = rest.reshape(-1, 3)
+        table[big] = np.roll(big, -1)
+        cut = (len(rest) - 2) // 3 * 3
+        triples = rest[:cut].reshape(-1, 3)
         table[triples[:, 0]], table[triples[:, 1]], table[triples[:, 2]] = (
             triples[:, 1], triples[:, 2], triples[:, 0])
-        table[tail] = np.roll(tail, -1)
+        table[rest[cut:]] = np.roll(rest[cut:], -1)
         self.check(table)
 
     def test_long_chain_into_a_large_cycle(self):
-        self.check(self.comb(dynamics._RESIDUAL_LIMIT + 10, [2000]))
+        self.check(self.comb(dynamics._JUMP_LIMIT + 10, [2000]))
 
 
 def oracle_summary(p: int, g: int) -> dynamics.FunctionalGraphSummary:
