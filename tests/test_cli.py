@@ -175,9 +175,18 @@ class TestReportPath:
         (("ec", "--p", "101", "--a", "2", "--b", "3", "--gx", "1", "--gy", "39",
           "--kmax", "4", "--csv"),
          "474dca2957e55ec4ac405258ac7c4513204751add5c3084415b50ddff58d850c"),
+        (("lemma", "thm3", "--p", "19", "--g", "2"),
+         "90c4d88851ed4cad6c433007b3e2d34c76af3da3d54050b694f24055a410b076"),
+        (("lemma", "thm3", "--pmin", "11", "--pmax", "400", "--g", "2", "--csv"),
+         "4e865138761ef7f8553094ede5d6eb4db6de7fd2e0034abe4f91803a168ff8c1"),
+        (("lemma", "fact2", "--pmax", "3000", "--g", "2..13", "--csv"),
+         "2a7bf4b7e0d5beab5f69ace2499ed2a94197a7b80782fa87047cb5952324f46a"),
+        (("avg", "--p", "101", "--k", "1", "--csv"),
+         "772fd06653d362aa785d39e87c439bc5899bf2c629ad7d9a6773fc8335d36285"),
     ]
 
-    @pytest.mark.parametrize("argv, digest", GOLDEN, ids=["sweep", "verify-bounds", "ec"])
+    @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
+        "sweep", "verify-bounds", "ec", "thm3-single", "thm3-range", "fact2", "avg"])
     def test_golden_stdout(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
