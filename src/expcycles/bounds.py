@@ -33,9 +33,7 @@ def thm1_bound(p: int) -> float:
 
 
 def thm1_holds(p: int, n1: int) -> bool:
-    """n1 <= sqrt(2p) + 1/2 in exact integer form (no float rounding)."""
-    if n1 <= 0:
-        return True
+    """n1 <= sqrt(2p) + 1/2 as (2*n1 - 1)**2 <= 8p, exact for every count n1 >= 0."""
     return (2 * n1 - 1) ** 2 <= 8 * p
 
 
@@ -122,10 +120,8 @@ def verify(m: dynamics.ExpMap, census: dynamics.CycleCensus | None = None) -> Bo
     t1_value = thm1_bound(p)
     t1_applicable = p >= THM1_MIN_P
     t1_ok = thm1_holds(p, n1)
-    if not t1_applicable:
+    if not t1_applicable:  # for p >= 11 the bound is below p-1, never vacuous
         notes.append("thm1: inapplicable (p < 11)")
-    elif t1_value > p - 1:
-        notes.append("thm1: vacuous (bound exceeds p-1)")
 
     if g == 1:
         z: int | None = None

@@ -46,9 +46,9 @@ def _parse_g_values(text: str) -> list[int]:
 
 
 def _select_gs(p: int, args) -> list[int]:
-    if getattr(args, "g_list", None):
+    if args.g_list:
         return [g for g in args.g_list if 1 <= g <= p - 1]
-    if getattr(args, "primitive_roots_only", False):
+    if args.primitive_roots_only:
         return [g for g in range(2, p) if is_primitive_root(g, p)]
     return list(range(1, p))
 
@@ -72,7 +72,6 @@ def _emit(args, results, columns: list[str], flatten) -> int:
         if args.csv:
             import csv
             writer = csv.writer(stream)
-        if writer:
             writer.writerow(columns)
         for row, violated in results:
             if writer:
@@ -102,11 +101,6 @@ def _emit(args, results, columns: list[str], flatten) -> int:
 def _require_prime(p: int) -> None:
     if not is_prime(p) or p < 3:
         raise ValueError(f"p={p} is not an odd prime")
-
-
-def _require_kmax(k_max: int) -> None:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
 
 
 # ---------------------------------------------------------------- census
@@ -174,7 +168,7 @@ def _census_flat(row: dict) -> list:
 def cmd_census(args) -> int:
     _require_prime(args.p)
     m = dynamics.ExpMap(args.p, args.g)
-    _require_kmax(args.kmax)
+    dynamics._require_kmax(args.kmax)
     return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
                  _census_columns(args.kmax), _census_flat)
 
@@ -236,22 +230,20 @@ def _run_tasks(tasks: list, worker_fn, workers: int):
         yield from map(worker_fn, tasks)
         return
     from multiprocessing import Pool
-    # Both pool commands verify bounds, and bounds.thm3_bound imports
-    # fractions: load it once here, so the forked workers inherit it.
-    import fractions
     chunk = max(1, len(tasks) // (workers * 8))
     with Pool(workers) as pool:
         yield from pool.imap(worker_fn, tasks, chunksize=chunk)
 
 
+def _primes(pmin: int, pmax: int) -> list[int]:
+    """The odd primes in [pmin, pmax]; an empty range (pmin > pmax) is invalid input."""
+    if pmin > pmax:
+        raise ValueError(f"empty prime range: pmin={pmin} > pmax={pmax}")
+    return primes_in_range(max(pmin, 3), pmax)
+
+
 def _range_tasks(args) -> list[tuple[int, int]]:
-    if args.pmin > args.pmax:
-        raise ValueError(f"empty prime range: pmin={args.pmin} > pmax={args.pmax}")
-    tasks = []
-    for p in primes_in_range(max(args.pmin, 3), args.pmax):
-        for g in _select_gs(p, args):
-            tasks.append((p, g))
-    return tasks
+    return [(p, g) for p in _primes(args.pmin, args.pmax) for g in _select_gs(p, args)]
 
 
 def cmd_verify_bounds(args) -> int:
@@ -285,7 +277,7 @@ def _sweep_flat(row: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
-    _require_kmax(args.kmax)
+    dynamics._require_kmax(args.kmax)
     tasks = [(p, g, args.kmax, args.mem_budget) for p, g in _range_tasks(args)]
     return _emit(args, _run_tasks(tasks, _sweep_task, args.workers),
                  _sweep_columns(args.kmax), _sweep_flat)
@@ -324,10 +316,11 @@ def cmd_lemma_fact1(args) -> int:
 
 def _fact2_rows(g_values: list[int], pmax: int):
     from . import lemmas
+    primes = primes_in_range(3, pmax)
     for g in g_values:
         checked = 0
         violations: list[dict] = []
-        for p in primes_in_range(3, pmax):
+        for p in primes:
             if g > p - 1:
                 continue
             checked += p - 1
@@ -373,6 +366,13 @@ def cmd_lemma_comb(args) -> int:
                             len(r["failures"])])
 
 
+_THM3_COLUMNS = [
+    "p", "g", "m_semantics", "m_size", "c_size", "x_size", "s_size",
+    "phi_total", "phi_lands_outside_m", "max_preimage", "key_claim_ok",
+    "hypotheses_ok", "bound_check", "x_cardinality_ok", "s_cardinality_ok", "all_ok",
+]
+
+
 def _thm3_row(report) -> tuple[dict, bool]:
     row = {
         "p": report.p,
@@ -383,24 +383,9 @@ def _thm3_row(report) -> tuple[dict, bool]:
         "s_index": sorted(report.s_index),
         "x_size": len(report.x_set),
         "s_size": len(report.s_set),
-        "phi_total": report.phi_total,
-        "phi_lands_outside_m": report.phi_lands_outside_m,
-        "max_preimage": report.max_preimage,
-        "key_claim_ok": report.key_claim_ok,
-        "hypotheses_ok": report.hypotheses_ok,
-        "bound_check": report.bound_check,
-        "x_cardinality_ok": report.x_cardinality_ok,
-        "s_cardinality_ok": report.s_cardinality_ok,
-        "all_ok": report.all_ok,
     }
+    row.update((flag, getattr(report, flag)) for flag in _THM3_COLUMNS[7:])
     return row, not report.all_ok
-
-
-_THM3_COLUMNS = [
-    "p", "g", "m_semantics", "m_size", "c_size", "x_size", "s_size",
-    "phi_total", "phi_lands_outside_m", "max_preimage", "key_claim_ok",
-    "hypotheses_ok", "bound_check", "x_cardinality_ok", "s_cardinality_ok", "all_ok",
-]
 
 
 def _thm3_flat(row: dict) -> list:
@@ -411,13 +396,12 @@ def cmd_lemma_thm3(args) -> int:
     from . import lemmas
     if args.p is not None:
         _require_prime(args.p)
+        dynamics._require_int64_exact(args.p)
         candidates = [args.p]
     else:
         if args.pmin is None or args.pmax is None:
             raise ValueError("lemma thm3 needs --p or both --pmin and --pmax")
-        if args.pmin > args.pmax:
-            raise ValueError(f"empty prime range: pmin={args.pmin} > pmax={args.pmax}")
-        candidates = primes_in_range(max(args.pmin, 3), args.pmax)
+        candidates = _primes(args.pmin, args.pmax)
     # sweep mode only covers primes where g is a primitive root
     primes = [p for p in candidates if 1 <= args.g <= p - 1 and is_primitive_root(args.g, p)]
     if args.p is not None and not primes:
@@ -444,7 +428,7 @@ def _ec_rows(args, m: ecdynamics.ECExpMap):
 
 
 def cmd_ec(args) -> int:
-    _require_kmax(args.kmax)
+    dynamics._require_kmax(args.kmax)
     curve = ecdynamics.CurveParams(args.p, args.a, args.b)
     m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
     head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
@@ -465,6 +449,8 @@ def cmd_avg(args) -> int:
     _require_prime(args.p)
     if args.k < 1:
         raise ValueError("k must be >= 1")
+    if args.k == 1:  # the all-bases count is a table pass over {0,...,p-1}
+        dynamics._require_int64_exact(args.p)
     return _emit(args, _avg_rows(args.p, args.k), ["p", "k", "total", "mean", "per_g"],
                  lambda r: [r["p"], r["k"], r["total"], r["mean"],
                             ";".join(map(str, r["per_g"]))])

@@ -70,6 +70,17 @@ class MemoryBudgetError(RuntimeError):
     """A whole-graph pass would exceed the configured memory budget."""
 
 
+def _check_budget(what: str, need: int, mem_budget: int) -> None:
+    """Refuse a pass (`what`) whose working memory `need` exceeds mem_budget."""
+    if need > mem_budget:
+        raise MemoryBudgetError(f"{what} needs ~{need} bytes, budget {mem_budget}")
+
+
+def _require_kmax(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+
+
 @dataclass(frozen=True)
 class ExpMap:
     """The pair (p, g) acting on {1,...,p-1} by u -> g**u mod p.
@@ -182,8 +193,7 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
     The definitional route: O(p * k_max) map applications, O(1) extra
     memory.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _require_kmax(k_max)
     p, g = m.p, m.g
     n_div = [0] * (k_max + 1)
     n_least = [0] * (k_max + 1)
@@ -259,8 +269,7 @@ def census_table(m: ExpMap, k_max: int) -> CycleCensus:
     _subgroup_map), so the census of S over all of {0,...,t-1} (e = 0 is
     u = 1) equals census_naive. This is the fast path the bound sweeps use.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _require_kmax(k_max)
     return _census_from_table(_subgroup_map(m, multiplicative_order(m.g, m.p)), k_max, 0)
 
 
@@ -458,15 +467,6 @@ def _subgroup_map(m: ExpMap, t: int) -> np.ndarray:
     return np.array(powers, dtype=index_type)
 
 
-def _check_budget(p: int, t: int, mem_budget: int) -> None:
-    need = _GRAPH_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2)
-    if need > mem_budget:
-        raise MemoryBudgetError(
-            f"p={p}: the graph pass on the {t} elements of <g> needs ~{need} bytes, "
-            f"budget {mem_budget}"
-        )
-
-
 def census_graph(
     m: ExpMap,
     k_max: int | None = None,
@@ -484,11 +484,12 @@ def census_graph(
     a permutation, every point outside <g> has tail 1).
     k_max defaults to the longest cycle length.
     """
-    if k_max is not None and k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if k_max is not None:
+        _require_kmax(k_max)
     p = m.p
     t = multiplicative_order(m.g, p)
-    _check_budget(p, t, mem_budget)
+    _check_budget(f"p={p}: the graph pass on the {t} elements of <g>",
+                  _GRAPH_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2), mem_budget)
     cycle_lengths, max_tail = decompose_table(_subgroup_map(m, t), 0)
     summary = _graph_summary(cycle_lengths, max_tail + (1 if t < p - 1 else 0))
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max)
@@ -511,9 +512,8 @@ def fixed_point_counts_all_bases(p: int) -> np.ndarray:
     g fixes u exactly when i*u == L[u] (mod p-1). For d = gcd(u, p-1)
     that has no solution i unless d divides L[u], and then d of them,
     one residue class mod (p-1)/d. p above _NUMPY_MOD_LIMIT raises
-    MemoryBudgetError.
+    MemoryBudgetError; primitive_root checks that p is prime.
     """
-    check_prime_modulus(p)
     _require_int64_exact(p)
     n = p - 1
     powers = _pow_range(primitive_root(p), n, p)

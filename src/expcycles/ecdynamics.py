@@ -38,11 +38,12 @@ from .dynamics import (
     DEFAULT_MEM_BUDGET,
     CycleCensus,
     FunctionalGraphSummary,
-    MemoryBudgetError,
     _census_from_cycles,
     _census_from_table,
+    _check_budget,
     _graph_summary,
     _require_int64_exact,
+    _require_kmax,
     decompose_table,
 )
 from .modarith import check_prime_modulus
@@ -143,11 +144,7 @@ def curve_order(curve: CurveParams, mem_budget: int = DEFAULT_MEM_BUDGET) -> int
     """
     p = curve.p
     _require_int64_exact(p)
-    need = _ORDER_BYTES_PER_ELEMENT * p
-    if need > mem_budget:
-        raise MemoryBudgetError(
-            f"p={p} needs ~{need} bytes for the order sweep, budget {mem_budget}"
-        )
+    _check_budget(f"p={p}: the order sweep", _ORDER_BYTES_PER_ELEMENT * p, mem_budget)
     x = np.arange(p, dtype=np.int64)
     rhs = x * x  # x^2 mod p, then x^3 + ax + b by Horner; all below p^2
     rhs %= p
@@ -294,8 +291,7 @@ def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:
 
     By the table census of the folded map F on 1..N//2 (module docstring).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _require_kmax(k_max)
     half = _x_half(m)
     np.minimum(half, m.n - half, out=half)  # N - h fits the dtype, as N < 2**31 for int32
     return _census_from_table(half, k_max, 1)
@@ -311,6 +307,8 @@ def ec_census_graph(
     other cycle passes through it), so it counts starting values in
     {1,...,N-1} exactly like ec_census.
     """
+    if k_max is not None:
+        _require_kmax(k_max)
     summary = _graph_summary(*decompose_table(ec_table(m), 0))
     # the 0 -> 0 loop lies outside the census domain
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max, fixed_outside=1)

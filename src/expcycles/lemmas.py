@@ -252,6 +252,11 @@ def thm3_verify(p: int, g: int, m_semantics: str = "least") -> Thm3ProofReport:
     back in M, then held to the cardinality ceiling g**(2g+1). phi is
     evaluated on all of C - S and the final bound goes through
     comb_verify on the assembled instance with k = 2.
+
+    As X is recovered that way, phi_total, phi_lands_outside_m and
+    key_claim_ok hold by construction, and hypotheses_ok equals
+    max_preimage <= 2. The checks that can fail are max_preimage,
+    bound_check, x_cardinality_ok and s_cardinality_ok.
     """
     if m_semantics not in M_SEMANTICS:
         raise ValueError(f"unknown semantics {m_semantics!r}; use one of {M_SEMANTICS}")

@@ -79,8 +79,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 def _rho_brent(n: int) -> int:
     """A nontrivial factor of an odd composite n (Brent's cycle-finding rho)."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, r, q, g = 2, 1, 1, 1
@@ -128,9 +126,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
         d += 2
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # > 1: rho splits off a factor strictly between 1 and m
         if is_prime(m):
             found.add(m)
             continue
@@ -169,11 +165,7 @@ def is_primitive_root(g: int, p: int) -> bool:
 def primitive_root(p: int) -> int:
     """Smallest g >= 2 of multiplicative order p-1 mod p."""
     check_prime_modulus(p)
-    qs = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise ArithmeticError(f"no primitive root below {p}")  # unreachable for prime p
+    return next(g for g in range(2, p) if is_primitive_root(g, p))
 
 
 def discrete_log(g: int, h: int, p: int) -> int:

@@ -367,6 +367,17 @@ class TestLemmaCommands:
         code, _, _ = run_cli(capsys, "lemma", "thm3", "--g", "2")
         assert code == 2
 
+    def test_thm3_p_above_int64_limit_refused_before_the_harness(self, capsys, monkeypatch):
+        from expcycles import lemmas
+
+        def no_harness(p, g, m_semantics):
+            raise AssertionError("the proof harness ran")
+
+        monkeypatch.setattr(lemmas, "thm3_verify", no_harness)
+        code, out, err = run_cli(capsys, "lemma", "thm3", "--p", "3037000507", "--g", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: p=3037000507 exceeds")
+
     @pytest.mark.parametrize("argv", [
         ("fact1", "--trials", "5", "--pmax", "2"),
         ("fact1", "--trials", "5", "--umax", "-1"),
@@ -448,6 +459,15 @@ class TestAvgCommand:
     def test_invalid_input(self, capsys):
         assert run_cli(capsys, "avg", "--p", "9", "--k", "1")[0] == 2
         assert run_cli(capsys, "avg", "--p", "7", "--k", "0")[0] == 2
+
+    def test_p_above_int64_limit_refused_before_the_table(self, capsys, monkeypatch):
+        def no_table(p):
+            raise AssertionError("the all-bases table pass ran")
+
+        monkeypatch.setattr(dynamics, "fixed_point_counts_all_bases", no_table)
+        code, out, err = run_cli(capsys, "avg", "--p", "3037000507", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: p=3037000507 exceeds")
 
 
 class TestImports:

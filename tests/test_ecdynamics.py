@@ -382,3 +382,7 @@ class TestECCensus:
         n_div, n_least = ec_brute_census(table, m.n, 4)
         assert list(census.n_dividing) == n_div
         assert list(census.n_least_period) == n_least
+        for k_max in (0, -2):  # refused as by ec_census and census_graph
+            for census_route in (ecdynamics.ec_census, ecdynamics.ec_census_graph):
+                with pytest.raises(ValueError, match="k_max must be >= 1"):
+                    census_route(m, k_max)
