@@ -430,6 +430,7 @@ def _ec_rows(args, m: ecdynamics.ECExpMap):
 def cmd_ec(args) -> int:
     dynamics._require_kmax(args.kmax)
     curve = ecdynamics.CurveParams(args.p, args.a, args.b)
+    dynamics._require_int64_exact(args.p)  # the half table's products
     m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
     head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
     return _emit(args, _ec_rows(args, m), head + _count_columns(args.kmax),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 MAX_MODULUS = 1 << 63
 
@@ -73,8 +74,20 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi."""
-    return [p for p in primes_up_to(hi) if p >= lo]
+    """Primes p with lo <= p <= hi, by a byte sieve of [lo, hi] alone.
+
+    The base primes up to sqrt(hi) cross off their multiples from
+    max(q*q, lo) on, so the cost is O(sqrt(hi) + hi - lo).
+    """
+    lo = max(lo, 2)
+    if lo > hi:
+        return []
+    sieve = bytearray(b"\x01") * (hi - lo + 1)
+    for q in primes_up_to(math.isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)
+        if start <= hi:
+            sieve[start - lo :: q] = bytes((hi - start) // q + 1)
+    return list(compress(range(lo, hi + 1), sieve))
 
 
 def _rho_brent(n: int) -> int:

@@ -7,6 +7,7 @@ package results against these, never the other way round.
 
 from __future__ import annotations
 
+import numpy as np
 
 
 def trial_prime(n: int) -> bool:
@@ -143,6 +144,20 @@ def ec_brute_points(p: int, a: int, b: int) -> list[tuple[int, int]]:
         for y in range(p)
         if (y * y - (x * x * x + a * x + b)) % p == 0
     ]
+
+
+def ec_sweep_order(p: int, a: int, b: int) -> int:
+    """#E(F_p): the point at infinity plus, per x, the number of y with y^2 = rhs(x).
+
+    O(p) numpy sweep over an int8 table of square-root counts; its int64
+    sums stay exact for p < 2**30.
+    """
+    x = np.arange(p, dtype=np.int64)
+    roots = np.zeros(p, dtype=np.int8)  # number of square roots: 0, 1 or 2
+    roots[0] = 1
+    roots[x[1 : (p + 1) // 2] ** 2 % p] = 2  # x and p-x share a square; these are distinct
+    rhs = (x * x % p * x + a % p * x + b % p) % p
+    return 1 + int(roots[rhs].sum(dtype=np.int64))
 
 
 def ec_brute_census(table: list[int], n: int, k_max: int) -> tuple[list[int], list[int]]:

@@ -413,14 +413,35 @@ class TestECCommand:
         assert "not on the curve" in err
 
     def test_kmax_checked_before_order_sweep(self, capsys, monkeypatch):
-        def no_sweep(curve, mem_budget=None):
+        def no_count(curve):
             raise AssertionError("curve_order ran before --kmax was checked")
 
-        monkeypatch.setattr(ecdynamics, "curve_order", no_sweep)
+        monkeypatch.setattr(ecdynamics, "curve_order", no_count)
         code, _, err = run_cli(capsys, "ec", "--p", "2000003", "--a", "2", "--b", "3",
                                "--gx", "0", "--gy", "919159", "--kmax", "0")
         assert code == 2
         assert "k_max" in err
+
+    def test_p_above_int64_limit_refused_before_the_first_row(self, capsys, monkeypatch):
+        # the half table would refuse it inside the row, as an internal error
+        def no_count(curve):
+            raise AssertionError("curve_order ran before the int64 limit was checked")
+
+        monkeypatch.setattr(ecdynamics, "curve_order", no_count)
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
+        code, out, err = run_cli(capsys, "ec", "--p", "97", "--a", "3", "--b", "8",
+                                 "--gx", "1", "--gy", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: p=97 exceeds 96")
+
+    def test_supersingular_readme_example(self, capsys):
+        # y^2 = x^3 + 3 with p = 2 mod 3 has N = p + 1
+        code, out, _ = run_cli(capsys, "ec", "--p", "2000003", "--a", "0", "--b", "3",
+                               "--gx", "1", "--gy", "2", "--kmax", "3")
+        assert code == 0
+        assert out == ('{"p": 2000003, "a": 0, "b": 3, "gx": 1, "gy": 2, "n": 2000004, '
+                       '"hasse_ok": true, "k": 3, "n_dividing": [2, 2, 5], '
+                       '"n_least_period": [2, 0, 3]}\n')
 
 
 class TestAvgCommand:

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import brute_orbit_structure, ec_brute_census, ec_brute_points, trial_primes_between
+from conftest import (brute_orbit_structure, ec_brute_census, ec_brute_points, ec_sweep_order,
+                      trial_primes_between)
 from expcycles import dynamics, ecdynamics
 from expcycles.dynamics import FunctionalGraphSummary, MemoryBudgetError
-from expcycles.modarith import is_prime
+from expcycles.modarith import is_prime, primitive_root
 
 F5_CURVE = ecdynamics.CurveParams(5, 1, 1)  # y^2 = x^3 + x + 1 over F_5
 F5_AFFINE = [(0, 1), (0, 4), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)]
@@ -132,8 +133,8 @@ class TestCurveOrder:
             assert ecdynamics.curve_order(curve) == len(points)
 
     def test_matches_double_loop_a_or_b_zero(self):
-        # b = 0 puts the root x = 0 on the curve (roots[0] = 1); a = 0 adds
-        # nothing before the Horner step
+        # b = 0 puts the point (0, 0) of order 2 on the curve; a = 0 puts the
+        # points (0, +-sqrt(b)) of order 3 on it
         for p in trial_primes_between(5, 61):
             for a, b in [(0, 1), (0, 2), (0, p - 1), (1, 0), (2, 0), (p - 1, 0)]:
                 if (4 * a**3 + 27 * b**2) % p:
@@ -149,18 +150,60 @@ class TestCurveOrder:
             curve, _ = _random_curve_no_points(rng, p)
             assert ecdynamics.hasse_ok(p, ecdynamics.curve_order(curve))
 
-    def test_memory_budget(self):
-        curve = ecdynamics.CurveParams(10007, 1, 1)
-        need = ecdynamics._ORDER_BYTES_PER_ELEMENT * 10007
-        with pytest.raises(MemoryBudgetError):
-            ecdynamics.curve_order(curve, mem_budget=need - 1)
-        assert ecdynamics.hasse_ok(10007, ecdynamics.curve_order(curve, mem_budget=need))
+    def test_every_curve_up_to_47(self):
+        for p in trial_primes_between(5, 47):
+            for a, b in itertools.product(range(p), repeat=2):
+                if (4 * a**3 + 27 * b**2) % p:
+                    n = ecdynamics.curve_order(ecdynamics.CurveParams(p, a, b))
+                    assert n == ec_sweep_order(p, a, b), (p, a, b)
 
-    def test_refused_above_int64_limit(self, monkeypatch):
-        # refused even when the byte budget would admit the sweep
-        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
-        with pytest.raises(MemoryBudgetError, match="int64"):
-            ecdynamics.curve_order(ecdynamics.CurveParams(97, 3, 8), mem_budget=2**62)
+    def test_seeded_and_j0_j1728_curves_53_to_2003(self):
+        # a = 0 (j = 0) and b = 0 (j = 1728) hold the supersingular curves,
+        # N = p + 1, for p = 2 mod 3 and p = 3 mod 4. Scaling b by a sixth
+        # power (a by a fourth power) gives an isomorphic curve, so the powers
+        # g^0..g^5 (g^0..g^3) of a primitive root reach every class of both
+        # families. The walk of curve_order starts at p = 233
+        rng = random.Random(49)
+        walked, supersingular = 0, 0
+        for p in trial_primes_between(53, 2003):
+            g = primitive_root(p)
+            curves = [(0, pow(g, i, p)) for i in range(6)] + [(pow(g, i, p), 0) for i in range(4)]
+            while len(curves) < 14:
+                a, b = rng.randrange(p), rng.randrange(p)
+                if (4 * a**3 + 27 * b**2) % p:
+                    curves.append((a, b))
+            for a, b in curves:
+                n = ecdynamics.curve_order(ecdynamics.CurveParams(p, a, b))
+                assert n == ec_sweep_order(p, a, b), (p, a, b)
+                supersingular += n == p + 1 and a * b == 0
+            walked += p > ecdynamics._LEGENDRE_MAX_P
+        # 6 supersingular curves for each p = 2 mod 3, 4 for each p = 3 mod 4
+        assert walked == 254 and supersingular >= 1474
+
+    def test_above_old_int64_limit(self):
+        # too large for the sweep oracle: N annihilates points of E, and
+        # 2p + 2 - N points of the twist
+        p = dynamics._NUMPY_MOD_LIMIT + 1
+        while not is_prime(p):
+            p += 1
+        assert p % 4 == 3  # square roots are powers
+        curve = ecdynamics.CurveParams(p, 2, 3)
+        n = ecdynamics.curve_order(curve)
+        assert ecdynamics.hasse_ok(p, n)
+        on_curve = on_twist = 0
+        for x in range(1, 40):
+            r = (x**3 + 2 * x + 3) % p
+            if pow(r, (p - 1) // 2, p) == 1:
+                point = (x, pow(r, (p + 1) // 4, p))
+                assert ecdynamics.is_on_curve(curve, point)
+                assert ecdynamics.scalar_mul(curve, n, point) is None, x
+                on_curve += 1
+            else:  # (rx, r^2) lies on y^2 = x^3 + 2r^2 x + 3r^3, the twist for a non-square r
+                twist = ecdynamics.CurveParams(p, 2 * r * r, 3 * r**3)
+                point = (r * x % p, r * r % p)
+                assert ecdynamics.scalar_mul(twist, 2 * p + 2 - n, point) is None, x
+                on_twist += 1
+        assert on_curve >= 5 and on_twist >= 5
 
 
 def _point_order(curve, point, n):
@@ -190,9 +233,11 @@ class TestBatchInverse:
         rng = np.random.default_rng(p % 1000)
         for length in (1, 2, 3, 5, 7, 65535, 65536, 65537):
             d = rng.integers(1, p, size=length, dtype=np.int64)
-            inv = ecdynamics._batch_inverse(d, p)
-            assert inv.dtype == np.int64 and len(inv) == length
-            assert inv.tolist() == [pow(v, -1, p) for v in d.tolist()], (p, length)
+            d[::3] -= p  # _add_block leaves its differences in (-p, p)
+            _num, tree, quot = ecdynamics._workspace(length)
+            tree[:length] = d
+            ecdynamics._batch_inverse(tree, length, p, quot)
+            assert tree[:length].tolist() == [pow(v, -1, p) for v in d.tolist()], (p, length)
 
 
 class TestECExpMap:
@@ -258,6 +303,16 @@ class TestECApply:
         assert residues == {1, 3} and parities == {0, 1}
         assert two_torsion > 0 and proper_order > 0
 
+    @pytest.mark.parametrize("a, b, base, order", [(1, 1, (999, 0), 2), (1, 2, (435, 218), 3)])
+    def test_half_table_small_order_base(self, monkeypatch, a, b, base, order):
+        # every block lane is P = O or P = +-Q; small chunks make many blocks
+        curve = ecdynamics.CurveParams(1009, a, b)
+        m = ecdynamics.ECExpMap(curve, base)
+        assert _point_order(curve, base, m.n) == order
+        monkeypatch.setattr(ecdynamics, "_EC_CHUNK", 61)
+        half = ecdynamics._x_half(m).tolist()
+        assert half == [ecdynamics.ec_apply(m, u) for u in range(m.n // 2 + 1)]
+
     def test_table_matches_apply_at_benchmark_size(self):
         m = ecdynamics.ECExpMap(ecdynamics.CurveParams(2000003, 2, 3), (0, 919159))
         table = ecdynamics.ec_table(m)
@@ -267,7 +322,7 @@ class TestECApply:
             assert table[u] == ecdynamics.ec_apply(m, u), u
 
     def test_table_refused_above_int64_limit(self, monkeypatch):
-        # a supplied N skips curve_order and its check, so ec_table checks itself
+        # the table's int64 products would overflow above the limit
         m = ecdynamics.ECExpMap(ecdynamics.CurveParams(97, 3, 8), (1, 20), n=112)
         monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 96)
         with pytest.raises(MemoryBudgetError, match="int64"):

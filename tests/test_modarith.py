@@ -38,6 +38,26 @@ class TestPrimesSieve:
     def test_primes_in_range(self):
         assert modarith.primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
 
+    def test_segment_matches_filtered_sieve(self):
+        # ends on and off primes, squares of base primes, segments shorter
+        # than a base prime
+        rng = random.Random(50)
+        full = modarith.primes_up_to(200000)
+        ranges = [(lo, lo + rng.randrange(0, 3000)) for lo in rng.sample(range(200000), 40)]
+        ranges += [(lo, min(lo + width, 200000)) for lo, width in
+                   [(0, 100), (289, 0), (288, 290), (3, 99997), (199000, 1000), (41, 1681)]]
+        for lo, hi in ranges:
+            assert modarith.primes_in_range(lo, hi) == [p for p in full if lo <= p <= hi], (lo, hi)
+
+    def test_segment_edges(self):
+        assert modarith.primes_in_range(-5, 2) == [2]
+        assert modarith.primes_in_range(0, 1) == []
+        assert modarith.primes_in_range(2, 3) == [2, 3]
+        assert modarith.primes_in_range(10007, 10007) == [10007]
+        assert modarith.primes_in_range(10008, 10008) == []
+        assert modarith.primes_in_range(31, 30) == []
+        assert modarith.primes_in_range(10**7, 10**7 + 100) == [10000019, 10000079]
+
 
 class TestPrimeFactors:
     @pytest.mark.parametrize("n,expected", [(1, ()), (2, (2,)), (12, (2, 3)),
