@@ -42,7 +42,7 @@ class TestPrimesSieve:
         # ends on and off primes, squares of base primes, segments shorter
         # than a base prime
         rng = random.Random(50)
-        full = modarith.primes_up_to(200000)
+        full = modarith.primes_up_to(203000)
         ranges = [(lo, lo + rng.randrange(0, 3000)) for lo in rng.sample(range(200000), 40)]
         ranges += [(lo, min(lo + width, 200000)) for lo, width in
                    [(0, 100), (289, 0), (288, 290), (3, 99997), (199000, 1000), (41, 1681)]]
