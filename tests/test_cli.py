@@ -183,10 +183,16 @@ class TestReportPath:
          "2a7bf4b7e0d5beab5f69ace2499ed2a94197a7b80782fa87047cb5952324f46a"),
         (("avg", "--p", "101", "--k", "1", "--csv"),
          "772fd06653d362aa785d39e87c439bc5899bf2c629ad7d9a6773fc8335d36285"),
+        # census_table on many subgroup sizes, rising and falling
+        (("verify-bounds", "--pmin", "3", "--pmax", "5000", "--g-list", "2,3", "--csv"),
+         "5bb2ceecbf90161d05e445ac0ac0c126a0fd3dbf5ad02dc77def8b228f7f5eb3"),
+        (("avg", "--p", "1009", "--k", "3", "--csv"),
+         "f388f716c9759d64ced0c61743312492a75456db95777ecb3f91cd3c6b621b98"),
     ]
 
     @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
-        "sweep", "verify-bounds", "ec", "thm3-single", "thm3-range", "fact2", "avg"])
+        "sweep", "verify-bounds", "ec", "thm3-single", "thm3-range", "fact2", "avg",
+        "verify-bounds-5000", "avg-k3"])
     def test_golden_stdout(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
