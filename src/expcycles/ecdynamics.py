@@ -15,15 +15,15 @@ each F-periodic v >= 1 has exactly one f-periodic point in {v, N-v}, of
 the same period, so every n_dividing[k] is unchanged. ec_census_graph
 decomposes the full table, a check independent of the fold.
 
-_x_half builds its points by block doubling in numpy, as
-dynamics._pow_range builds powers: the points 0..f-1 plus fG give the
-points f..2f-1, by affine addition on int64 coordinate arrays where
-x = p stands for the point at infinity; the first blocks are scalar
-additions. Each chunk's slope denominators are inverted by one product
+_x_half builds its points by block doubling in numpy: the points
+0..f-1 plus fG give the points f..2f-1, by affine addition on int64
+coordinate arrays where x = p stands for the point at infinity; the
+first blocks are scalar additions. Each chunk's slope denominators are inverted by one product
 tree, _batch_inverse: about 3 modular multiplies per element plus one
 scalar inverse. The chunk buffers (numerators, the tree, the quotients
 of _reduce) are allocated once per table and written with out=, and
-every reduction mod p is a floor division by the scalar p. _x_half
+every reduction mod p is dynamics._reduce, the floor division by the
+scalar p that the prime map's table builder also uses. _x_half
 refuses p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT, where
 its products would overflow silently. point_add and scalar_mul stay the
 scalar group law; ec_apply, one scalar_mul per value, is the independent
@@ -53,6 +53,7 @@ from .dynamics import (
     _census_from_cycles,
     _census_from_table,
     _graph_summary,
+    _reduce,
     _require_int64_exact,
     _require_kmax,
     decompose_table,
@@ -249,16 +250,6 @@ def ec_apply(m: ECExpMap, u: int) -> int:
         raise ValueError(f"u={u} outside {{0,...,{m.n - 1}}}")
     point = scalar_mul(m.curve, u, m.gen)
     return 0 if point is None else point[0] % m.n
-
-
-def _reduce(a: np.ndarray, p: int, quot: np.ndarray) -> None:
-    """a %= p in place; quot holds a // p. numpy divides int64 by a scalar
-    through libdivide: with the multiply and subtract, about half the time
-    of np.remainder (2.0 against 4.1 ns per element at 2**16 elements)."""
-    q = quot[: len(a)]
-    np.floor_divide(a, p, out=q)
-    q *= p
-    a -= q
 
 
 def _batch_inverse(tree: np.ndarray, n: int, p: int, quot: np.ndarray) -> None:

@@ -12,8 +12,8 @@ from conftest import (
     brute_table,
     trial_primes_between,
 )
-from expcycles import dynamics, lemmas
-from expcycles.modarith import multiplicative_order
+from expcycles import dynamics, ecdynamics, lemmas
+from expcycles.modarith import is_prime, multiplicative_order, primitive_root
 
 
 class TestExpMap:
@@ -143,6 +143,126 @@ class TestPowRange:
         rng = random.Random(6)
         for u in [1, 2, p - 1] + [rng.randint(1, p - 1) for _ in range(200)]:
             assert int(table[u]) == pow(g, u, p)
+
+
+class TestSharedReduce:
+    # the largest modulus whose products stay exact in int64: (p-1)**2 < 2**63
+    P = next(q for q in range(dynamics._NUMPY_MOD_LIMIT, 0, -1) if is_prime(q))
+
+    def test_pow_range_at_int64_edge(self):
+        p = self.P
+        for g in (2, p - 2, 1_234_567_891):
+            powers = dynamics._pow_range(g, 4099, p)
+            assert powers.tolist() == [pow(g, u, p) for u in range(4099)], g
+
+    @pytest.mark.parametrize("low, high", [(-1, 1), (0, "square")])
+    def test_reduce_ranges(self, low, high):
+        # (-p, p) as the curve tree feeds it, [0, (p-1)**2] as products do
+        p = self.P
+        hi = p - 1 if high == 1 else (p - 1) ** 2
+        lo = low * (p - 1)
+        rng = random.Random(71)
+        values = [lo, lo + 1, 0, 1, p - 1, hi - 1, hi] + [rng.randint(lo, hi) for _ in range(5000)]
+        if high == 1:
+            values.append(-1)
+        a = np.array(values, dtype=np.int64)
+        quot = np.empty(len(a) + 3, dtype=np.int64)
+        dynamics._reduce(a, p, quot)
+        assert a.tolist() == [v % p for v in values]
+
+    def test_reduce_into_int32(self):
+        t = 2**31 - 1
+        values = [0, t - 1, t, (t - 1) ** 2, 12345678901234]
+        out = np.empty(len(values), dtype=np.int32)
+        dynamics._reduce(np.array(values, dtype=np.int64), t, np.empty(len(values), dtype=np.int64), out)
+        assert out.tolist() == [v % t for v in values]
+
+
+class TestWorkspace:
+    # census_table reuses one S buffer across calls; nothing may leak from
+    # one map into the next, nor into an array the module hands out
+
+    @staticmethod
+    def _maps():
+        # t rises, falls and repeats: g = 1 (t = 1), primitive roots (t = p-1),
+        # proper subgroups, one t above the default _CHUNK
+        seq = [(1009, 1), (1009, 11), (101, 2), (2003, 5), (1009, 11), (101, 100),
+               (1201, primitive_root(1201)), (20011, primitive_root(20011)), (13, 3),
+               (2003, 4), (1009, 1), (101, 2)]
+        return [dynamics.ExpMap(p, g) for p, g in seq]
+
+    @pytest.mark.parametrize("chunk, cap", [(dynamics._CHUNK, dynamics._WORKSPACE_MAX_ELEMENTS),
+                                            (64, 1500)])
+    def test_sequence_against_naive(self, monkeypatch, chunk, cap):
+        # small chunk and cap: many gather and reduce chunks, and maps on
+        # both sides of the cap in one sequence
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        monkeypatch.setattr(dynamics, "_WORKSPACE_MAX_ELEMENTS", cap)
+        work = dynamics._Workspace()
+        monkeypatch.setattr(dynamics, "_work", lambda: work)
+        maps = self._maps()
+        expected = {m: dynamics.census_naive(m, 4) for m in set(maps)}
+        for m in maps + maps[::-1]:
+            assert dynamics.census_table(m, 4) == expected[m], m
+        assert len(work.table) <= cap
+
+    def test_int64_table_census(self):
+        # curve tables with N >= 2**31 are int64 and get their own gather
+        # buffers; the census must not depend on the index dtype
+        rng = np.random.default_rng(72)
+        for n, start in [(5, 1), (40000, 0), (40000, 1)]:
+            table = rng.integers(0, n, n).astype(np.int32)
+            table[: n // 3] = np.arange(n // 3)[::-1]  # 2-cycles and a fixed point
+            census = dynamics._census_from_table(table, 4, start)
+            assert dynamics._census_from_table(table.astype(np.int64), 4, start) == census
+            succ = table.tolist()
+            for k in range(1, 5):
+                hits = 0
+                for u in range(start, n):
+                    v = u
+                    for _ in range(k):
+                        v = succ[v]
+                    hits += v == u
+                assert census.n_dividing[k] == hits, (n, start, k)
+
+    def test_python_branch_in_sequence(self, monkeypatch):
+        maps = [m for m in self._maps() if m.p < 5000]
+        expected = {m: dynamics.census_naive(m, 4) for m in set(maps)}
+        for limit in (dynamics._NUMPY_MOD_LIMIT, 4, dynamics._NUMPY_MOD_LIMIT):
+            monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", limit)
+            for m in maps:
+                assert dynamics.census_table(m, 4) == expected[m], (limit, m)
+
+    def test_returned_arrays_never_alias(self, monkeypatch):
+        handed_out = []
+
+        def recording(func):
+            def wrapper(*args, **kwargs):
+                result = func(*args, **kwargs)
+                handed_out.append(result)
+                return result
+            return wrapper
+
+        # census_graph's summary comes from decompose_table(_subgroup_map(...))
+        monkeypatch.setattr(dynamics, "decompose_table", recording(dynamics.decompose_table))
+        monkeypatch.setattr(dynamics, "_subgroup_map", recording(dynamics._subgroup_map))
+        curve = ecdynamics.ECExpMap(ecdynamics.CurveParams(101, 2, 3), (1, 39))
+        work = dynamics._work()
+        for m in self._maps():
+            dynamics.census_table(m, 3)
+            handed_out.clear()
+            t = multiplicative_order(m.g, m.p)
+            arrays = [dynamics._subgroup_map(m, t)]
+            dynamics.census_graph(m, k_max=3)
+            dynamics.fixed_points(m)
+            arrays.append(ecdynamics.ec_table(curve))
+            # S of the direct call, of census_graph and of fixed_points, and
+            # decompose_table's cycle lengths
+            assert len(handed_out) == 4, m
+            for arr in arrays + handed_out:
+                for part in arr if isinstance(arr, tuple) else (arr,):
+                    if isinstance(part, np.ndarray):
+                        assert not np.shares_memory(part, work.table), m
 
 
 class TestCensusRoutes:
