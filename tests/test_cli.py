@@ -188,11 +188,19 @@ class TestReportPath:
          "5bb2ceecbf90161d05e445ac0ac0c126a0fd3dbf5ad02dc77def8b228f7f5eb3"),
         (("avg", "--p", "1009", "--k", "3", "--csv"),
          "f388f716c9759d64ced0c61743312492a75456db95777ecb3f91cd3c6b621b98"),
+        # the graph pass at p = 10000019: index 7 (the bigmap instance), index 2
+        # (max_tail 8407), and a primitive root, whose map is a permutation
+        (("census", "--p", "10000019", "--g", "2", "--kmax", "3"),
+         "322854f3649b835ccc4570455305747b06e9d91e65f522f739be07ade58925ff"),
+        (("census", "--p", "10000019", "--g", "3", "--kmax", "3"),
+         "ff7aea3a2e14aec96bce66e4f57ec3c0b83aacf605359ea60eeab4793cd2fd36"),
+        (("census", "--p", "10000019", "--g", "6", "--kmax", "3"),
+         "a7ad88339589d22b8cb81487ae1a486f9d4a79dab20918ea38d5a5a476ca4006"),
     ]
 
     @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
         "sweep", "verify-bounds", "ec", "thm3-single", "thm3-range", "fact2", "avg",
-        "verify-bounds-5000", "avg-k3"])
+        "verify-bounds-5000", "avg-k3", "census-g2", "census-g3", "census-g6"])
     def test_golden_stdout(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
