@@ -11,11 +11,13 @@ image subgroup <g> of order t = ord_p(g), where the map is conjugate to
 S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
 one tail step. census_table and fixed_points scan S; decompose_table
 finds the cyclic nodes and the longest tail of S by peeling leaves, in
-numpy while the frontier is wide and in Python once it is narrow, and
-the cycle lengths by a Python walk, by pointer jumping or by a sparse
-ruling set as the cyclic set grows (it is all of <g> when g is a
-primitive root). It returns (cycle_lengths, max_tail). The graph
-budget charges about 28 bytes per element of <g>.
+numpy while the frontier is wide and in Python once it is narrow, with
+one int32 array of in-degrees beside S, and the cycle lengths by a
+Python walk, by pointer jumping or by a sparse ruling set as the cyclic
+set grows. It returns (cycle_lengths, max_tail). When g is a primitive
+root, S is a permutation with nothing to peel, and census_graph hands it
+straight to the cycle finder. The graph budget charges about 14 bytes
+per element of <g>.
 
 _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
@@ -60,11 +62,12 @@ DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
 # indices (t <= 2**31); int64 indices double it. Peak RSS over the
-# interpreter baseline (getrusage) was 20.7 and 20.0 B per element for
-# the proper subgroups t = 1.43e6 and 5e6, and 20.0 B for the
-# permutations t = 1e7 and 2e7 (np.bincount's intp copy of the table
-# and its counts); 28 leaves 1.35x headroom over the maximum.
-_GRAPH_BYTES_PER_NODE = 28
+# post-import baseline of a fresh process (VmHWM) was 10.4 and 9.3 B per
+# element for the proper subgroups t = 1.43e6 and 5e6 (S, the in-degrees
+# and the first frontier), and 7.3 and 7.7 B for the permutations t = 5e6
+# and 1e7 (S and the ruling set's marks); 14 leaves 1.35x headroom over
+# the maximum. TestMemoryModels holds the pass to it.
+_GRAPH_BYTES_PER_NODE = 14
 
 # decompose_table's crossovers, measured in process (CHANGES.md): a numpy
 # peel round over at most _NARROW leaves costs more than a Python step per
@@ -97,7 +100,8 @@ _WORKSPACE_MAX_ELEMENTS = 1 << 20
 # Peak working memory of census_table per element of <g>, as peak RSS over
 # the interpreter baseline (getrusage): 4.19 B at t = 1,000,002 (S in the
 # workspace) and 4.02 B at t = 10,000,018 (a fresh S); the chunk scratch is
-# a few hundred kB whatever t is. 5 leaves 1.2x headroom.
+# a few hundred kB whatever t is. 5 leaves 1.2x headroom; TestMemoryModels
+# holds the pass to it.
 _CENSUS_BYTES_PER_NODE = 5
 
 # RSS that census_table leaves behind with the workspace grown to the cap
@@ -413,11 +417,16 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     Cyclic nodes and the longest tail come from peeling leaves in
     topological order (Kahn): each round removes the nodes no remaining
     node maps to. The survivors are the cyclic nodes, and the number of
-    rounds is the longest tail. A round over more than _NARROW leaves is
-    one numpy np.unique pass; a narrower one takes a Python step per
-    leaf on memoryviews of the arrays (as fast to index as lists, with
-    no copy) instead of ~25 us of numpy calls. The cyclic nodes, as a
-    permutation, then go to _cycle_lengths.
+    rounds is the longest tail. Besides the table, the pass holds one
+    array of in-degrees in the table's dtype and the frontier. A round
+    over more than _NARROW leaves runs in numpy, _CHUNK leaves at a time:
+    np.subtract.at takes one from the in-degree of each leaf's head, and
+    the heads it frees are sorted and told apart from their neighbours,
+    so a head that several leaves free enters the next frontier once. A
+    narrower round takes a Python step per leaf on memoryviews of the
+    arrays (as fast to index as lists, with no copy) instead of ~25 us of
+    numpy calls. The cyclic nodes, relabelled as a permutation with the
+    in-degree array as their ranks, then go to _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -425,14 +434,40 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     n = len(succ)
     succ = succ.astype(np.int32 if n <= 2**31 else np.int64, copy=False)
 
-    indeg = np.bincount(succ, minlength=n).astype(succ.dtype, copy=False)
-    leaves = np.flatnonzero(indeg == 0)
+    # ufunc.at runs its fast loop (NumPy >= 1.25) only when the value has
+    # the dtype of the counts: np.add.at(indeg, idx, 1) casts element by
+    # element, 30x slower (337 against 11 ms at n = 1.43e6). np.bincount
+    # takes 16 ms there, but copies succ to intp and counts in int64.
+    one = succ.dtype.type(1)
+    indeg = np.zeros(n, dtype=succ.dtype)
+    for i in range(0, n, _CHUNK):
+        np.add.at(indeg, succ[i : i + _CHUNK], one)
+    # The first frontier (about n/e leaves for a random map) is gathered a
+    # chunk at a time, so no n-long mask or intp index array is made.
+    leaves = np.empty(n - np.count_nonzero(indeg), dtype=succ.dtype)
+    found = 0
+    for i in range(0, n, _CHUNK):
+        hits = np.flatnonzero(indeg[i : i + _CHUNK] == 0)
+        leaves[found : found + len(hits)] = hits + i
+        found += len(hits)
     max_tail = 0
     while leaves.size > _NARROW:
         max_tail += 1
-        heads, hits = np.unique(succ[leaves], return_counts=True)
-        indeg[heads] -= hits
-        leaves = heads[indeg[heads] == 0]
+        freed = 0
+        for i in range(0, len(leaves), _CHUNK):
+            heads = succ[leaves[i : i + _CHUNK]]
+            np.subtract.at(indeg, heads, one)
+            # A head freed here has no leaf left in a later chunk, so its
+            # repeats all lie in this one.
+            heads = heads[indeg[heads] == 0]
+            heads.sort()
+            keep = np.empty(len(heads), dtype=bool)
+            keep[:1] = True
+            np.not_equal(heads[1:], heads[:-1], out=keep[1:])
+            heads = heads[keep]
+            leaves[freed : freed + len(heads)] = heads  # behind the chunks to read
+            freed += len(heads)
+        leaves = leaves[:freed]
     # A frontier never widens (each leaf frees at most its successor), so
     # every round left is narrow.
     step, left = memoryview(succ), memoryview(indeg)
@@ -447,14 +482,15 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
                 heads.append(v)
         frontier = heads
     if np.count_nonzero(indeg) < n:
-        succ = _restrict(succ, np.flatnonzero(indeg))
+        succ = _restrict(succ, np.flatnonzero(indeg), indeg)
     return np.array(_cycle_lengths(succ), dtype=np.int64), max_tail
 
 
-def _restrict(succ: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """succ on the sorted node set `nodes`, which it maps into itself, relabelled 0..len-1."""
-    rank = np.zeros(len(succ), dtype=succ.dtype)
-    rank[nodes] = np.arange(len(nodes), dtype=succ.dtype)
+def _restrict(succ: np.ndarray, nodes: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """succ on the sorted node set `nodes`, which it maps into itself,
+    relabelled 0..len-1; rank (as long as succ, of its dtype) is
+    overwritten at nodes."""
+    rank[nodes] = np.arange(len(nodes), dtype=rank.dtype)
     return rank[succ[nodes]]
 
 
@@ -517,7 +553,8 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
             walked += 1
         gap[i], nxt[i] = walked, u // _RULER_STRIDE
     lengths = _cycle_sums(nxt, gap)
-    return lengths + _jump_cycles(_restrict(perm, np.flatnonzero(mark == 0)))
+    rest = _restrict(perm, np.flatnonzero(mark == 0), np.empty_like(perm))
+    return lengths + _jump_cycles(rest)
 
 
 def _jump_cycles(perm: np.ndarray) -> list[int]:
@@ -539,8 +576,8 @@ def _jump_cycles(perm: np.ndarray) -> list[int]:
     return counts[counts > 0].tolist()
 
 
-def _graph_summary(cycle_lengths: np.ndarray, max_tail: int) -> FunctionalGraphSummary:
-    lengths = tuple(sorted(cycle_lengths.tolist()))
+def _graph_summary(cycle_lengths: np.ndarray | list[int], max_tail: int) -> FunctionalGraphSummary:
+    lengths = tuple(sorted(np.asarray(cycle_lengths).tolist()))
     return FunctionalGraphSummary(
         component_count=len(lengths),
         cyclic_point_count=sum(lengths),
@@ -624,8 +661,12 @@ def census_graph(
     t = multiplicative_order(m.g, p)
     _check_budget(f"p={p}: the graph pass on the {t} elements of <g>",
                   _GRAPH_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2), mem_budget)
-    cycle_lengths, max_tail = decompose_table(_subgroup_map(m, t), 0)
-    summary = _graph_summary(cycle_lengths, max_tail + (1 if t < p - 1 else 0))
+    table = _subgroup_map(m, t)
+    if t == p - 1:  # g is a primitive root: S is a permutation, with nothing to peel
+        summary = _graph_summary(_cycle_lengths(table), 0)
+    else:
+        cycle_lengths, max_tail = decompose_table(table, 0)
+        summary = _graph_summary(cycle_lengths, max_tail + 1)
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max)
 
 

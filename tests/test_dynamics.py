@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -243,7 +246,8 @@ class TestWorkspace:
                 return result
             return wrapper
 
-        # census_graph's summary comes from decompose_table(_subgroup_map(...))
+        # census_graph's summary comes from decompose_table(_subgroup_map(...)),
+        # or for a primitive root from S alone
         monkeypatch.setattr(dynamics, "decompose_table", recording(dynamics.decompose_table))
         monkeypatch.setattr(dynamics, "_subgroup_map", recording(dynamics._subgroup_map))
         curve = ecdynamics.ECExpMap(ecdynamics.CurveParams(101, 2, 3), (1, 39))
@@ -257,8 +261,8 @@ class TestWorkspace:
             dynamics.fixed_points(m)
             arrays.append(ecdynamics.ec_table(curve))
             # S of the direct call, of census_graph and of fixed_points, and
-            # decompose_table's cycle lengths
-            assert len(handed_out) == 4, m
+            # decompose_table's cycle lengths unless S is a permutation
+            assert len(handed_out) == (3 if t == m.p - 1 else 4), m
             for arr in arrays + handed_out:
                 for part in arr if isinstance(arr, tuple) else (arr,):
                     if isinstance(part, np.ndarray):
@@ -525,6 +529,31 @@ class TestDecomposeTable:
     def test_long_chain_into_a_large_cycle(self):
         self.check(self.comb(dynamics._JUMP_LIMIT + 10, [2000]))
 
+    @pytest.mark.parametrize("chunk", [dynamics._CHUNK, 64])
+    def test_fan_in_over_several_numpy_rounds(self, monkeypatch, chunk):
+        # layers of 4800, 2400, ... nodes into a 3-cycle, each node of a
+        # layer the head of one or more (two on average) nodes of the layer
+        # above: every frontier down to 300 nodes is wide (five numpy
+        # rounds), and a head freed by several leaves must enter the next
+        # frontier once (else its successor is decremented twice and never
+        # freed). A chunk of 64 spreads a head's leaves over several chunks
+        # of a round.
+        monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+        rng = np.random.default_rng(73)
+        table = [1, 2, 0]
+        below = [0]
+        for size in (75, 150, 300, 600, 1200, 2400, 4800):
+            layer = list(range(len(table), len(table) + size))
+            # every node below is hit at least once, the rest at random
+            heads = below + rng.choice(below, size - len(below)).tolist()
+            table += rng.permutation(heads).tolist()
+            below = layer
+        assert len(below) > 8 * dynamics._NARROW
+        label = rng.permutation(len(table))
+        relabelled = np.empty(len(table), dtype=np.int64)
+        relabelled[label] = label[table]
+        self.check(relabelled)
+
 
 def oracle_summary(p: int, g: int) -> dynamics.FunctionalGraphSummary:
     cycles = brute_cycle_multiset(p, g)
@@ -559,12 +588,75 @@ class TestGraphSummaryAgainstOracles:
                 assert list(census.n_least_period) == n_least, (p, g)
 
 
+class TestPrimitiveRoots:
+    # t = p-1: S is a permutation and goes straight to the cycle finder,
+    # whose method follows the size of the cyclic set (all of <g>)
+
+    @pytest.mark.parametrize("p, limits_passed", [(1009, 0), (5003, 1), (20011, 2)])
+    def test_summary_and_census_against_oracles(self, p, limits_passed):
+        # p-1 below _WALK_LIMIT, between it and _JUMP_LIMIT, and above both
+        limits = (dynamics._WALK_LIMIT, dynamics._JUMP_LIMIT)
+        assert sum(p - 1 > limit for limit in limits) == limits_passed
+        rng = random.Random(p)
+        roots = [g for g in rng.sample(range(2, p - 1), 40) if brute_order(g, p) == p - 1]
+        for g in roots[:2]:
+            summary, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=4)
+            assert summary == oracle_summary(p, g), (p, g)
+            assert summary.is_permutation and summary.max_tail_length == 0
+            n_div, n_least = brute_census(p, g, 4)
+            assert list(census.n_dividing) == n_div, (p, g)
+            assert list(census.n_least_period) == n_least, (p, g)
+
+
 class TestPermutationCriterion:
     def test_small_exhaustive(self):
         for p in trial_primes_between(3, 97):
             for g in range(1, p):
                 summary, _ = dynamics.census_graph(dynamics.ExpMap(p, g))
                 assert summary.is_permutation == (brute_order(g, p) == p - 1), (p, g)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+class TestMemoryModels:
+    # Each pass runs in a fresh interpreter. Its peak RSS over the
+    # post-import baseline must stay within the module's constant per
+    # element of <g>, plus SLACK for page granularity and the workspace.
+    # The peak is VmHWM, the high-water mark of the child's own address
+    # space: getrusage's ru_maxrss keeps that of the spawning process
+    # across fork and exec, so under a large pytest process it would
+    # hide the pass.
+    SLACK = 4 << 20
+    PEAK = """
+from expcycles import dynamics
+from expcycles.modarith import multiplicative_order
+
+def high_water():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+m = dynamics.ExpMap({p}, {g})
+base = high_water()
+dynamics.{call}
+print(multiplicative_order(m.g, m.p), (high_water() - base) * 1024)
+"""
+
+    def peak(self, p, g, call):
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        done = subprocess.run([sys.executable, "-c", self.PEAK.format(p=p, g=g, call=call)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        return tuple(map(int, done.stdout.split()))
+
+    @pytest.mark.parametrize("g", [2, 6])  # index 7, and a primitive root (a permutation)
+    def test_graph_pass(self, g):
+        t, grown = self.peak(10000019, g, "census_graph(m, 3)")
+        assert t >= 10**6
+        assert grown <= dynamics._GRAPH_BYTES_PER_NODE * t + self.SLACK, grown / t
+
+    def test_table_census(self):
+        t, grown = self.peak(10000019, 6, "census_table(m, 3)")
+        assert t == 10000018
+        assert grown <= dynamics._CENSUS_BYTES_PER_NODE * t + self.SLACK, grown / t
 
 
 class TestFixedPoints:
