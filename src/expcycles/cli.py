@@ -19,7 +19,7 @@ import os
 import random
 import sys
 
-# lemmas, csv and multiprocessing load where a command uses them. bounds and
+# lemmas, csv and concurrent.futures load where a command uses them. bounds and
 # ecdynamics stay: perfbench's tracer wraps them after importing this module.
 from . import bounds, dynamics, ecdynamics
 from .modarith import is_prime, is_primitive_root, primes_in_range
@@ -229,13 +229,22 @@ def _run_tasks(tasks: list, worker_fn, workers: int):
     if workers <= 1 or len(tasks) <= 1:
         yield from map(worker_fn, tasks)
         return
-    from multiprocessing import Pool
-    # imap holds a finished chunk's rows until the chunks before it are
+    from concurrent.futures import ProcessPoolExecutor
+    # map holds a finished chunk's rows until the chunks before it are
     # written; 32 chunks per worker keep that to about 0.3 MB at the
-    # README's 19,181-pair verify-bounds sweep
+    # README's 19,181-pair verify-bounds sweep. A worker that dies (say, to
+    # the OOM killer) makes it raise BrokenProcessPool: exit 3, not a hang.
     chunk = max(1, len(tasks) // (workers * 32))
-    with Pool(workers) as pool:
-        yield from pool.imap(worker_fn, tasks, chunksize=chunk)
+    pool = ProcessPoolExecutor(workers)
+    try:
+        yield from pool.map(worker_fn, tasks, chunksize=chunk)
+    finally:
+        # after an early stop (a closed pipe, an error) shutdown alone would
+        # wait for the running chunks; the executor has no public terminate
+        # before Python 3.14
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        pool.shutdown(cancel_futures=True)
 
 
 def _primes(pmin: int, pmax: int) -> list[int]:

@@ -13,11 +13,11 @@ one tail step. census_table and fixed_points scan S; decompose_table
 finds the cyclic nodes and the longest tail of S by peeling leaves, in
 numpy while the frontier is wide and in Python once it is narrow, with
 one int32 array of in-degrees beside S, and the cycle lengths by a
-Python walk, by pointer jumping or by a sparse ruling set as the cyclic
-set grows. It returns (cycle_lengths, max_tail). When g is a primitive
-root, S is a permutation with nothing to peel, and census_graph hands it
-straight to the cycle finder. The graph budget charges about 14 bytes
-per element of <g>.
+Python walk or, on a larger cyclic set, a sparse ruling set. It returns
+(cycle_lengths, max_tail). When g is a primitive root, S is a
+permutation with nothing to peel, and census_graph hands it straight to
+the cycle finder. The graph budget charges about 14 bytes per element
+of <g>.
 
 _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
@@ -71,12 +71,10 @@ _GRAPH_BYTES_PER_NODE = 14
 
 # decompose_table's crossovers, measured in process (CHANGES.md): a numpy
 # peel round over at most _NARROW leaves costs more than a Python step per
-# leaf; a permutation of at most _WALK_LIMIT nodes is walked in Python, of
-# at most _JUMP_LIMIT by pointer jumping, and a larger one by a ruling set
-# of every _RULER_STRIDE-th node.
+# leaf; a permutation of at most _WALK_LIMIT nodes is walked in Python, and
+# a larger one split by a ruling set of every _RULER_STRIDE-th node.
 _NARROW = 256
 _WALK_LIMIT = 2**10
-_JUMP_LIMIT = 2**14
 _RULER_STRIDE = 64
 
 # The two readings of "periodic point of period k" (see CycleCensus) that
@@ -93,8 +91,8 @@ _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
 _CHUNK = 1 << 14
 
 # census_table keeps its int32 S in the workspace between calls while <g> has
-# at most this many elements; a larger S is a fresh array, freed on return.
-# At the cap the workspace retains _WORKSPACE_RETAINED_BYTES.
+# at most this many elements (4 B per element at the cap); a larger S is a
+# fresh array, freed on return.
 _WORKSPACE_MAX_ELEMENTS = 1 << 20
 
 # Peak working memory of census_table per element of <g>, as peak RSS over
@@ -103,11 +101,6 @@ _WORKSPACE_MAX_ELEMENTS = 1 << 20
 # a few hundred kB whatever t is. 5 leaves 1.2x headroom; TestMemoryModels
 # holds the pass to it.
 _CENSUS_BYTES_PER_NODE = 5
-
-# RSS that census_table leaves behind with the workspace grown to the cap
-# (4 B per element, 4.19 MB), measured as 4.28 MB of resident set over
-# the baseline.
-_WORKSPACE_RETAINED_BYTES = 4_280_000
 
 
 class _Workspace:
@@ -425,8 +418,8 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     so a head that several leaves free enters the next frontier once. A
     narrower round takes a Python step per leaf on memoryviews of the
     arrays (as fast to index as lists, with no copy) instead of ~25 us of
-    numpy calls. The cyclic nodes, relabelled as a permutation with the
-    in-degree array as their ranks, then go to _cycle_lengths.
+    numpy calls. The cyclic nodes, relabelled 0..c-1 by their rank among
+    themselves (np.searchsorted), then go to _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -482,16 +475,9 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
                 heads.append(v)
         frontier = heads
     if np.count_nonzero(indeg) < n:
-        succ = _restrict(succ, np.flatnonzero(indeg), indeg)
+        cyclic = np.flatnonzero(indeg)
+        succ = np.searchsorted(cyclic, succ[cyclic])
     return np.array(_cycle_lengths(succ), dtype=np.int64), max_tail
-
-
-def _restrict(succ: np.ndarray, nodes: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """succ on the sorted node set `nodes`, which it maps into itself,
-    relabelled 0..len-1; rank (as long as succ, of its dtype) is
-    overwritten at nodes."""
-    rank[nodes] = np.arange(len(nodes), dtype=rank.dtype)
-    return rank[succ[nodes]]
 
 
 def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
@@ -512,18 +498,18 @@ def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
 def _cycle_lengths(perm: np.ndarray) -> list[int]:
     """Cycle lengths of the permutation perm.
 
-    At most _JUMP_LIMIT nodes go to _jump_cycles. A larger perm is split
+    At most _WALK_LIMIT nodes are walked in Python. A larger perm is split
     by a sparse ruling set (as in list ranking: Reid-Miller 1994, Sibeyn
     1997). Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One
     walker per ruler steps in lockstep, one gather per round, to the next
     ruler; the last _RULER_STRIDE walkers finish in Python. Summing the
     gaps around the ruler permutation gives every cycle that holds a
     ruler. The unvisited nodes lie on ruler-free cycles (all of them but
-    the rulers in the identity or in all 3-cycles): they go to
-    _jump_cycles.
+    the rulers in the identity or in all 3-cycles): they are relabelled
+    by their rank among themselves and walked in Python.
     """
-    if len(perm) <= _JUMP_LIMIT:
-        return _jump_cycles(perm)
+    if len(perm) <= _WALK_LIMIT:
+        return _cycle_sums(perm.tolist(), [1] * len(perm))
     rulers = np.arange(0, len(perm), _RULER_STRIDE)
     mark = np.zeros(len(perm), dtype=np.int8)  # 0 unvisited, 1 walked, 2 ruler
     mark[rulers] = 2
@@ -552,28 +538,9 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
             u = step[u]
             walked += 1
         gap[i], nxt[i] = walked, u // _RULER_STRIDE
-    lengths = _cycle_sums(nxt, gap)
-    rest = _restrict(perm, np.flatnonzero(mark == 0), np.empty_like(perm))
-    return lengths + _jump_cycles(rest)
-
-
-def _jump_cycles(perm: np.ndarray) -> list[int]:
-    """Cycle lengths of the permutation perm: walked in Python if it has
-    at most _WALK_LIMIT nodes, else by min-label pointer jumping (about
-    log2 of the longest cycle passes over perm)."""
-    if len(perm) <= _WALK_LIMIT:
-        return _cycle_sums(perm.tolist(), [1] * len(perm))
-    # The value is the least label among the next 2**r nodes of the
-    # cycle; a round that changes no label leaves every cycle's min.
-    state = np.stack([np.arange(len(perm), dtype=perm.dtype), perm], axis=1)
-    while True:
-        ahead = np.take(state, state[:, 1], axis=0)
-        np.minimum(ahead[:, 0], state[:, 0], out=ahead[:, 0])
-        if np.array_equal(ahead[:, 0], state[:, 0]):
-            break
-        state = ahead
-    counts = np.bincount(state[:, 0])
-    return counts[counts > 0].tolist()
+    rest = np.flatnonzero(mark == 0)
+    rest_succ = np.searchsorted(rest, perm[rest]).tolist()
+    return _cycle_sums(nxt, gap) + _cycle_sums(rest_succ, [1] * len(rest))
 
 
 def _graph_summary(cycle_lengths: np.ndarray | list[int], max_tail: int) -> FunctionalGraphSummary:

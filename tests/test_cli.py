@@ -257,6 +257,39 @@ class TestInternalFailure:
         assert [r["flags"]["thm1"] for r in json_rows(out)] == [False, False]
         assert err.startswith("internal error:")
 
+    # A worker SIGKILLs itself at p = 37 (only in a worker: the kill is
+    # guarded by the CLI's pid), once the other worker has reached p = 41,
+    # so every task before 37 is done.
+    DYING_WORKER = """
+import os, signal, sys, time
+from expcycles import bounds, cli
+
+parent, verify = os.getpid(), bounds.verify
+
+def dying_verify(m, census=None):
+    if m.p == 41:
+        open({marker!r}, "w").close()
+    if m.p == 37 and os.getpid() != parent:
+        while not os.path.exists({marker!r}):
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return verify(m, census)
+
+bounds.verify = dying_verify
+sys.exit(cli.main(["verify-bounds", "--pmin", "11", "--pmax", "97", "--g-list", "2",
+                   "--workers", "2"]))
+"""
+
+    def test_dead_worker_exits_3(self, tmp_path):
+        # as when the OOM killer ends a worker: no hang, the rows before it stay
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", self.DYING_WORKER.format(marker=str(tmp_path / "at41"))],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert [r["p"] for r in json_rows(done.stdout)] == [11, 13, 17, 19, 23, 29, 31]
+        assert done.stderr.startswith("internal error:")
+
     def test_single_row_command_failure_exits_3(self, capsys, monkeypatch):
         def failing_census_graph(*args, **kwargs):
             raise RuntimeError("boom in the graph pass")
@@ -507,10 +540,11 @@ class TestAvgCommand:
 
 class TestImports:
     def test_parser_leaves_command_modules_unloaded(self):
-        # lemmas, fractions (via bounds), csv and multiprocessing load only
-        # in the commands that use them
+        # lemmas, fractions (via bounds), csv, concurrent.futures and
+        # multiprocessing load only in the commands that use them
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        modules = ("expcycles.lemmas", "fractions", "csv", "multiprocessing")
+        modules = ("expcycles.lemmas", "fractions", "csv", "concurrent.futures",
+                   "multiprocessing")
         code = ("import sys, expcycles.cli as c; c.build_parser(); "
                 f"print([m for m in {modules!r} if m in sys.modules])")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -451,8 +451,11 @@ class TestDecomposeTable:
         self.check(table, lo)
 
     # The tables below straddle the switches of decompose_table: a frontier
-    # of _NARROW leaves, cyclic sets of _WALK_LIMIT and _JUMP_LIMIT nodes,
-    # and the ruling set (stride _RULER_STRIDE) above _JUMP_LIMIT.
+    # of _NARROW leaves, a cyclic set of _WALK_LIMIT nodes, and the ruling
+    # set (stride _RULER_STRIDE) above it. RULED nodes hold more than
+    # _RULER_STRIDE rulers, so the ruling set runs lockstep rounds before
+    # its last walkers finish in Python.
+    RULED = 5000
 
     @staticmethod
     def comb(cycle: int, chains: list[int], seed: int = 0) -> np.ndarray:
@@ -473,21 +476,25 @@ class TestDecomposeTable:
         # _NARROW or _NARROW + 1 leaves: peeled in Python, or first in numpy
         self.check(self.comb(1000, [5] * (dynamics._NARROW + width), seed=width))
 
-    @pytest.mark.parametrize("extra", [0, 1])
-    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "_JUMP_LIMIT"])
-    def test_cyclic_set_either_side_of_limit(self, limit, extra):
-        # wide rounds, then narrow ones, leave one cycle of the limit or one more
-        chains = [2] * (2 * dynamics._NARROW) + [50] * 8
-        self.check(self.comb(getattr(dynamics, limit) + extra, chains, seed=extra))
+    def size(self, name: str) -> int:
+        return self.RULED if name == "RULED" else getattr(dynamics, name)
 
     @pytest.mark.parametrize("extra", [0, 1])
-    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "_JUMP_LIMIT"])
+    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "RULED"])
+    def test_cyclic_set_either_side_of_limit(self, limit, extra):
+        # wide rounds, then narrow ones, leave one cycle of the size or one more
+        chains = [2] * (2 * dynamics._NARROW) + [50] * 8
+        self.check(self.comb(self.size(limit) + extra, chains, seed=extra))
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("limit", ["_WALK_LIMIT", "RULED"])
     def test_permutation_either_side_of_limit(self, limit, extra):
-        n = getattr(dynamics, limit) + extra
+        n = self.size(limit) + extra
         self.check(np.random.default_rng(n).permutation(n))
 
     def test_permutations_above_the_limit(self):
-        n = dynamics._JUMP_LIMIT + 1000
+        n = self.RULED
+        assert n > dynamics._RULER_STRIDE**2
         rng = np.random.default_rng(3)
         self.check(np.arange(n))  # all fixed points
         self.check(np.arange(n) ^ 1)  # all 2-cycles
@@ -500,7 +507,7 @@ class TestDecomposeTable:
     def test_rulers_in_a_row(self):
         # one cycle through every ruler first, then every other node: a
         # single walker covers almost the whole cycle
-        n, stride = dynamics._JUMP_LIMIT + 1000, dynamics._RULER_STRIDE
+        n, stride = self.RULED, dynamics._RULER_STRIDE
         is_ruler = np.arange(n) % stride == 0
         order = np.concatenate([np.flatnonzero(is_ruler), np.flatnonzero(~is_ruler)])
         table = np.empty(n, dtype=np.int64)
@@ -510,9 +517,9 @@ class TestDecomposeTable:
     @pytest.mark.parametrize("free", [dynamics._WALK_LIMIT, dynamics._WALK_LIMIT + 1, None])
     def test_cycles_that_avoid_every_ruler(self, free):
         # `free` non-rulers (None: all of them) form 3-cycles and one short
-        # cycle that no walker visits: walked in Python up to _WALK_LIMIT
-        # nodes, else by pointer jumping. The rest form one cycle.
-        n, stride = dynamics._JUMP_LIMIT + 1000, dynamics._RULER_STRIDE
+        # cycle that no walker visits: relabelled and walked in Python
+        # whatever their number. The rest form one cycle.
+        n, stride = self.RULED, dynamics._RULER_STRIDE
         is_ruler = np.arange(n) % stride == 0
         others = np.flatnonzero(~is_ruler)
         rest = others[:free]
@@ -527,7 +534,7 @@ class TestDecomposeTable:
         self.check(table)
 
     def test_long_chain_into_a_large_cycle(self):
-        self.check(self.comb(dynamics._JUMP_LIMIT + 10, [2000]))
+        self.check(self.comb(self.RULED + 10, [2000]))
 
     @pytest.mark.parametrize("chunk", [dynamics._CHUNK, 64])
     def test_fan_in_over_several_numpy_rounds(self, monkeypatch, chunk):
@@ -592,11 +599,13 @@ class TestPrimitiveRoots:
     # t = p-1: S is a permutation and goes straight to the cycle finder,
     # whose method follows the size of the cyclic set (all of <g>)
 
-    @pytest.mark.parametrize("p, limits_passed", [(1009, 0), (5003, 1), (20011, 2)])
-    def test_summary_and_census_against_oracles(self, p, limits_passed):
-        # p-1 below _WALK_LIMIT, between it and _JUMP_LIMIT, and above both
-        limits = (dynamics._WALK_LIMIT, dynamics._JUMP_LIMIT)
-        assert sum(p - 1 > limit for limit in limits) == limits_passed
+    @pytest.mark.parametrize("p, rulers", [(1009, 0), (5003, 79), (20011, 313)])
+    def test_summary_and_census_against_oracles(self, p, rulers):
+        # p-1 at most _WALK_LIMIT (walked in Python), or split by a ruling
+        # set of more than _RULER_STRIDE rulers, which runs lockstep rounds
+        walked = p - 1 <= dynamics._WALK_LIMIT
+        assert (0 if walked else -(-(p - 1) // dynamics._RULER_STRIDE)) == rulers
+        assert walked or rulers > dynamics._RULER_STRIDE
         rng = random.Random(p)
         roots = [g for g in rng.sample(range(2, p - 1), 40) if brute_order(g, p) == p - 1]
         for g in roots[:2]:
