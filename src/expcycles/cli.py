@@ -22,7 +22,7 @@ import sys
 # lemmas, csv and concurrent.futures load where a command uses them. bounds and
 # ecdynamics stay: perfbench's tracer wraps them after importing this module.
 from . import bounds, dynamics, ecdynamics
-from .modarith import is_prime, is_primitive_root, primes_in_range
+from .modarith import is_prime, is_primitive_root, multiplicative_order, primes_in_range
 
 DEFAULT_SEED = 42
 
@@ -108,11 +108,19 @@ def _require_prime(p: int) -> None:
 def _census_and_graph(
     m: dynamics.ExpMap, k_max: int, mem_budget: int
 ) -> tuple[dynamics.CycleCensus, dict | None]:
-    """(census, graph dict) from the graph pass, or (naive census, None) over budget."""
+    """(census, graph dict) from the graph pass; over its budget, (census, None)
+    from the table census if that fits the budget, else from the naive census."""
     try:
         summary, census = dynamics.census_graph(m, k_max=k_max, mem_budget=mem_budget)
     except dynamics.MemoryBudgetError:
-        return dynamics.census_naive(m, k_max), None
+        t = multiplicative_order(m.g, m.p)
+        # S is int64 when t > 2**31, as in the graph pass
+        need = dynamics._CENSUS_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2)
+        try:
+            dynamics._check_budget("the table census", need, mem_budget)
+        except dynamics.MemoryBudgetError:
+            return dynamics.census_naive(m, k_max), None
+        return dynamics.census_table(m, k_max), None
     return census, {
         "components": summary.component_count,
         "cyclic_points": summary.cyclic_point_count,
@@ -216,35 +224,11 @@ def _bounds_flat(row: dict) -> list:
     return [row["p"], row["g"], row["n1"], row["n2"], row["n3"]] + _bound_cells(row)
 
 
-def _bounds_task(task: tuple[int, int]) -> tuple[dict, bool]:
-    p, g = task
+def _bounds_row(p: int, g: int, args) -> tuple[dict, bool]:
     report = bounds.verify(dynamics.ExpMap(p, g))
     row = {"p": p, "g": report.g, "n1": report.n1, "n2": report.n2, "n3": report.n3,
            **_bound_fields(report)}
     return row, report.violated
-
-
-def _run_tasks(tasks: list, worker_fn, workers: int):
-    """Yield worker_fn(task) for the tasks in order, each as soon as it is done."""
-    if workers <= 1 or len(tasks) <= 1:
-        yield from map(worker_fn, tasks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    # map holds a finished chunk's rows until the chunks before it are
-    # written; 32 chunks per worker keep that to about 0.3 MB at the
-    # README's 19,181-pair verify-bounds sweep. A worker that dies (say, to
-    # the OOM killer) makes it raise BrokenProcessPool: exit 3, not a hang.
-    chunk = max(1, len(tasks) // (workers * 32))
-    pool = ProcessPoolExecutor(workers)
-    try:
-        yield from pool.map(worker_fn, tasks, chunksize=chunk)
-    finally:
-        # after an early stop (a closed pipe, an error) shutdown alone would
-        # wait for the running chunks; the executor has no public terminate
-        # before Python 3.14
-        for proc in list(pool._processes.values()):
-            proc.terminate()
-        pool.shutdown(cancel_futures=True)
 
 
 def _primes(pmin: int, pmax: int) -> list[int]:
@@ -254,13 +238,37 @@ def _primes(pmin: int, pmax: int) -> list[int]:
     return primes_in_range(max(pmin, 3), pmax)
 
 
-def _range_tasks(args) -> list[tuple[int, int]]:
-    return [(p, g) for p in _primes(args.pmin, args.pmax) for g in _select_gs(p, args)]
+def _prime_rows(row_fn, args, p: int) -> list[tuple[dict, bool]]:
+    """One pool task: the rows of prime p, in g order."""
+    return [row_fn(p, g, args) for g in _select_gs(p, args)]
+
+
+def _range_rows(primes: list[int], args, row_fn):
+    """Yield row_fn(p, g, args) over the primes and their g values, in order:
+    row by row in process, one prime per pool task with --workers above 1."""
+    if args.workers <= 1 or len(primes) <= 1:
+        yield from (row_fn(p, g, args) for p in primes for g in _select_gs(p, args))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
+    # map holds a finished chunk's rows until the chunks before it are written:
+    # 4 primes (about 8,000 rows) at the README's all-g sweep. A dead worker
+    # (say, OOM-killed) makes it raise BrokenProcessPool: exit 3, not a hang.
+    chunk = max(1, len(primes) // (args.workers * 32))
+    pool = ProcessPoolExecutor(args.workers)
+    try:
+        for rows in pool.map(partial(_prime_rows, row_fn, args), primes, chunksize=chunk):
+            yield from rows
+    finally:
+        # after an early stop (a closed pipe, an error) shutdown alone waits for
+        # the running chunks; the executor has no public terminate before 3.14
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_verify_bounds(args) -> int:
-    tasks = _range_tasks(args)
-    return _emit(args, _run_tasks(tasks, _bounds_task, args.workers),
+    return _emit(args, _range_rows(_primes(args.pmin, args.pmax), args, _bounds_row),
                  _BOUNDS_COLUMNS, _bounds_flat)
 
 
@@ -269,13 +277,12 @@ def cmd_verify_bounds(args) -> int:
 _SWEEP_KMAX = 3
 
 
-def _sweep_task(task: tuple[int, int, int, int]) -> tuple[dict, bool]:
-    p, g, k_max, mem_budget = task
+def _sweep_row(p: int, g: int, args) -> tuple[dict, bool]:
     m = dynamics.ExpMap(p, g)
     # bounds always need counts up to k = 3
-    census, graph = _census_and_graph(m, max(3, k_max), mem_budget)
+    census, graph = _census_and_graph(m, max(3, args.kmax), args.mem_budget)
     report = bounds.verify(m, census=census)
-    row = {"p": p, "g": m.g, **_counts(census, k_max), "graph": graph,
+    row = {"p": p, "g": m.g, **_counts(census, args.kmax), "graph": graph,
            **_bound_fields(report)}
     return row, report.violated
 
@@ -290,8 +297,7 @@ def _sweep_flat(row: dict) -> list:
 
 def cmd_sweep(args) -> int:
     dynamics._require_kmax(args.kmax)
-    tasks = [(p, g, args.kmax, args.mem_budget) for p, g in _range_tasks(args)]
-    return _emit(args, _run_tasks(tasks, _sweep_task, args.workers),
+    return _emit(args, _range_rows(_primes(args.pmin, args.pmax), args, _sweep_row),
                  _sweep_columns(args.kmax), _sweep_flat)
 
 
@@ -501,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--g", type=int, required=True)
     sub.add_argument("--kmax", type=int, default=3)
     sub.add_argument("--mem-budget", type=int, default=dynamics.DEFAULT_MEM_BUDGET,
-                     help="bytes allowed for the graph pass; above it the naive census runs")
+                     help="bytes allowed for the graph pass; above it the table census "
+                     "runs if it fits, else the naive census")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_census)
 

@@ -348,7 +348,7 @@ def _x_half(m: ECExpMap) -> np.ndarray:
         points.append(point_add(m.curve, points[-1], m.gen))
     xs[:filled] = [p if pt is None else pt[0] for pt in points]
     ys[:filled] = [0 if pt is None else pt[1] for pt in points]
-    work = _workspace(min(n - filled, _EC_CHUNK))
+    work = _workspace(min(n, _EC_CHUNK))
     while filled < n:
         take = min(filled, n - filled)
         q = scalar_mul(m.curve, filled, m.gen)
@@ -359,8 +359,10 @@ def _x_half(m: ECExpMap) -> np.ndarray:
         filled += take
     del ys
     xs[xs == p] = 0
-    xs %= m.n
-    return xs.astype(np.int32 if m.n < 2**31 else np.int64, copy=False)
+    out = np.empty(n, dtype=np.int32) if m.n < 2**31 else xs
+    for lo in range(0, n, _EC_CHUNK):
+        _reduce(xs[lo : lo + _EC_CHUNK], m.n, work[2], out[lo : lo + _EC_CHUNK])
+    return out
 
 
 def ec_table(m: ECExpMap) -> np.ndarray:

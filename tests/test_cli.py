@@ -48,14 +48,37 @@ class TestCensusCommand:
         assert lines[0].startswith("p,g,n_div_1")
         assert lines[1].startswith("7,3,3,3,6")
 
-    def test_mem_budget_falls_back_to_naive(self, capsys):
+    # t = ord(3) mod 1009 = 168: the graph pass needs 14t bytes, the table census 5t
+    T = 168
+
+    def test_mem_budget_falls_back_to_naive(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("census_table ran over its budget")
+
+        monkeypatch.setattr(dynamics, "census_table", no_table)
+        budget = dynamics._CENSUS_BYTES_PER_NODE * self.T - 1
         code, out, _ = run_cli(capsys, "census", "--p", "1009", "--g", "3",
-                               "--kmax", "2", "--mem-budget", "1000")
+                               "--kmax", "2", "--mem-budget", str(budget))
         assert code == 0
         row = json_rows(out)[0]
         assert row["graph"] is None
         n_div, _ = brute_census(1009, 3, 2)
         assert row["n_dividing"] == n_div[1:]
+
+    def test_mem_budget_falls_back_to_table_first(self, capsys, monkeypatch):
+        def no_naive(*args):
+            raise AssertionError("census_naive ran where census_table fits")
+
+        monkeypatch.setattr(dynamics, "census_naive", no_naive)
+        for budget in (dynamics._CENSUS_BYTES_PER_NODE * self.T,
+                       dynamics._GRAPH_BYTES_PER_NODE * self.T - 1):
+            code, out, _ = run_cli(capsys, "census", "--p", "1009", "--g", "3",
+                                   "--kmax", "2", "--mem-budget", str(budget))
+            assert code == 0
+            row = json_rows(out)[0]
+            assert row["graph"] is None
+            n_div, _ = brute_census(1009, 3, 2)
+            assert row["n_dividing"] == n_div[1:]
 
 
 class TestVerifyBoundsCommand:
@@ -90,11 +113,17 @@ class TestVerifyBoundsCommand:
         assert [r["g"] for r in json_rows(out)] == [2, 6, 7, 8]
 
     def test_worker_count_is_invisible_in_output(self, capsys):
-        base_args = ["verify-bounds", "--pmin", "11", "--pmax", "61", "--g-list", "2,3,5"]
-        code1, out1, _ = run_cli(capsys, *base_args, "--workers", "1")
-        code2, out2, _ = run_cli(capsys, *base_args, "--workers", "3")
-        assert code1 == code2 == 0
-        assert out1 == out2
+        # the workers select each prime's g values themselves
+        for base_args in (
+            ["verify-bounds", "--pmin", "11", "--pmax", "61", "--g-list", "2,3,5"],
+            ["verify-bounds", "--pmin", "11", "--pmax", "61", "--primitive-roots-only"],
+            ["verify-bounds", "--pmin", "11", "--pmax", "61"],
+            ["sweep", "--pmin", "11", "--pmax", "61", "--g-list", "2,3,5"],
+        ):
+            code1, out1, _ = run_cli(capsys, *base_args, "--workers", "1")
+            code2, out2, _ = run_cli(capsys, *base_args, "--workers", "3")
+            assert code1 == code2 == 0, base_args
+            assert out1 == out2 and out1, base_args
 
     def test_csv_has_header(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--pmin", "11", "--pmax", "13",
@@ -240,6 +269,25 @@ class TestInternalFailure:
         assert [(r["p"], r["g"]) for r in json_rows(out)] == [(11, 2), (13, 2)]
         assert err.startswith("internal error:")
         assert "boom at p=17" in err
+
+    @pytest.mark.parametrize("workers, kept", [
+        ("1", [(11, 2), (11, 3), (13, 2), (13, 3), (17, 2)]),  # row by row in process
+        ("2", [(11, 2), (11, 3), (13, 2), (13, 3)]),  # a pool task is one prime
+    ], ids=["1", "2"])
+    def test_rows_before_failure_within_a_prime(self, capsys, monkeypatch, workers, kept):
+        verify = bounds.verify
+
+        def failing_verify(m, census=None):
+            if (m.p, m.g) == (17, 3):
+                raise RuntimeError("boom at (17, 3)")
+            return verify(m, census)
+
+        monkeypatch.setattr(bounds, "verify", failing_verify)
+        code, out, err = run_cli(capsys, "verify-bounds", "--pmin", "11", "--pmax", "19",
+                                 "--g-list", "2,3", "--workers", workers)
+        assert code == 3
+        assert [(r["p"], r["g"]) for r in json_rows(out)] == kept
+        assert err.startswith("internal error:")
 
     def test_rows_before_failure_kept_in_out_file(self, capsys, tmp_path, fail_at_17):
         target = tmp_path / "report.csv"
