@@ -113,11 +113,9 @@ def _census_and_graph(
     try:
         summary, census = dynamics.census_graph(m, k_max=k_max, mem_budget=mem_budget)
     except dynamics.MemoryBudgetError:
-        t = multiplicative_order(m.g, m.p)
-        # S is int64 when t > 2**31, as in the graph pass
-        need = dynamics._CENSUS_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2)
         try:
-            dynamics._check_budget("the table census", need, mem_budget)
+            dynamics._check_budget("the table census", dynamics._CENSUS_BYTES_PER_NODE,
+                                   multiplicative_order(m.g, m.p), mem_budget)
         except dynamics.MemoryBudgetError:
             return dynamics.census_naive(m, k_max), None
         return dynamics.census_table(m, k_max), None

@@ -12,12 +12,12 @@ S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
 one tail step. census_table and fixed_points scan S; decompose_table
 finds the cyclic nodes and the longest tail of S by peeling leaves, in
 numpy while the frontier is wide and in Python once it is narrow, with
-one int32 array of in-degrees beside S, and the cycle lengths by a
-Python walk or, on a larger cyclic set, a sparse ruling set. It returns
-(cycle_lengths, max_tail). When g is a primitive root, S is a
-permutation with nothing to peel, and census_graph hands it straight to
-the cycle finder. The graph budget charges about 14 bytes per element
-of <g>.
+one uint8 array of in-degrees beside S (a node of S has at most (p-1)/t
+preimages), and the cycle lengths by a Python walk or, on a larger
+cyclic set, a sparse ruling set. It returns (cycle_lengths, max_tail).
+When g is a primitive root, S is a permutation with nothing to peel,
+and census_graph hands it straight to the cycle finder. The graph
+budget charges 8 bytes per element of <g>.
 
 _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
@@ -62,12 +62,14 @@ DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
 # indices (t <= 2**31); int64 indices double it. Peak RSS over the
-# post-import baseline of a fresh process (VmHWM) was 10.4 and 9.3 B per
-# element for the proper subgroups t = 1.43e6 and 5e6 (S, the in-degrees
-# and the first frontier), and 7.3 and 7.7 B for the permutations t = 5e6
-# and 1e7 (S and the ruling set's marks); 14 leaves 1.35x headroom over
-# the maximum. TestMemoryModels holds the pass to it.
-_GRAPH_BYTES_PER_NODE = 14
+# post-import baseline of a fresh process (VmHWM) at p = 10000019 was
+# 7.3-7.4 and 6.3 B per element for the proper subgroups t = 1.43e6 and
+# 5e6 (g = 2 and 3: S, the uint8 in-degrees and the first frontier), and
+# 6.2 B for the permutation t = 1e7 (g = 6: S and the ruling set's marks);
+# 8 leaves 1.27x headroom at t >= 5e6. It fails int32 in-degrees, which
+# peak at 9.3 B per element at t = 5e6. TestMemoryModels holds the pass
+# to it.
+_GRAPH_BYTES_PER_NODE = 8
 
 # decompose_table's crossovers, measured in process (CHANGES.md): a numpy
 # peel round over at most _NARROW leaves costs more than a Python step per
@@ -146,8 +148,11 @@ class MemoryBudgetError(RuntimeError):
     """A whole-graph pass would exceed the configured memory budget."""
 
 
-def _check_budget(what: str, need: int, mem_budget: int) -> None:
-    """Refuse a pass (`what`) whose working memory `need` exceeds mem_budget."""
+def _check_budget(what: str, bytes_per_element: int, t: int, mem_budget: int) -> None:
+    """Refuse a pass (`what`) over an S of t elements whose working memory,
+    bytes_per_element per element (twice that when t > 2**31, where S and
+    its indices are int64), exceeds mem_budget."""
+    need = bytes_per_element * t * (1 if t <= 2**31 else 2)
     if need > mem_budget:
         raise MemoryBudgetError(f"{what} needs ~{need} bytes, budget {mem_budget}")
 
@@ -411,15 +416,20 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     topological order (Kahn): each round removes the nodes no remaining
     node maps to. The survivors are the cyclic nodes, and the number of
     rounds is the longest tail. Besides the table, the pass holds one
-    array of in-degrees in the table's dtype and the frontier. A round
-    over more than _NARROW leaves runs in numpy, _CHUNK leaves at a time:
-    np.subtract.at takes one from the in-degree of each leaf's head, and
-    the heads it frees are sorted and told apart from their neighbours,
-    so a head that several leaves free enters the next frontier once. A
-    narrower round takes a Python step per leaf on memoryviews of the
-    arrays (as fast to index as lists, with no copy) instead of ~25 us of
-    numpy calls. The cyclic nodes, relabelled 0..c-1 by their rank among
-    themselves (np.searchsorted), then go to _cycle_lengths.
+    uint8 array of in-degrees and the frontier. For S a node has at most
+    (p-1)/t preimages, the values of [1, p-1] congruent to it mod t, so
+    its count fits a byte while the index (p-1)/t is at most 255; the
+    curve map's in-degrees are at most 4. A table with a node of 256 or
+    more preimages (counts that no longer sum to n) is counted again in
+    its own dtype. A round over more than _NARROW leaves runs in numpy,
+    _CHUNK leaves at a time: np.subtract.at takes one from the in-degree
+    of each leaf's head, and the heads it frees are sorted and told apart
+    from their neighbours, so a head that several leaves free enters the
+    next frontier once. A narrower round takes a Python step per leaf on
+    memoryviews of the arrays (as fast to index as lists, with no copy)
+    instead of ~25 us of numpy calls. The cyclic nodes, relabelled 0..c-1
+    by their rank among themselves (np.searchsorted), then go to
+    _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -431,18 +441,14 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     # the dtype of the counts: np.add.at(indeg, idx, 1) casts element by
     # element, 30x slower (337 against 11 ms at n = 1.43e6). np.bincount
     # takes 16 ms there, but copies succ to intp and counts in int64.
-    one = succ.dtype.type(1)
-    indeg = np.zeros(n, dtype=succ.dtype)
-    for i in range(0, n, _CHUNK):
-        np.add.at(indeg, succ[i : i + _CHUNK], one)
-    # The first frontier (about n/e leaves for a random map) is gathered a
-    # chunk at a time, so no n-long mask or intp index array is made.
-    leaves = np.empty(n - np.count_nonzero(indeg), dtype=succ.dtype)
-    found = 0
-    for i in range(0, n, _CHUNK):
-        hits = np.flatnonzero(indeg[i : i + _CHUNK] == 0)
-        leaves[found : found + len(hits)] = hits + i
-        found += len(hits)
+    for dtype in (np.uint8, succ.dtype):
+        indeg = np.zeros(n, dtype=dtype)
+        one = indeg.dtype.type(1)
+        for i in range(0, n, _CHUNK):
+            np.add.at(indeg, succ[i : i + _CHUNK], one)
+        if indeg.sum(dtype=np.int64) == n:  # else some count wrapped
+            break
+    leaves = _zeros_of(indeg, succ.dtype)  # about n/e of them for a random map
     max_tail = 0
     while leaves.size > _NARROW:
         max_tail += 1
@@ -478,6 +484,18 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
         cyclic = np.flatnonzero(indeg)
         succ = np.searchsorted(cyclic, succ[cyclic])
     return np.array(_cycle_lengths(succ), dtype=np.int64), max_tail
+
+
+def _zeros_of(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """np.flatnonzero(a == 0) as dtype, gathered a _CHUNK at a time, so no
+    len(a)-long mask or intp index array is made."""
+    out = np.empty(len(a) - np.count_nonzero(a), dtype=dtype)
+    found = 0
+    for i in range(0, len(a), _CHUNK):
+        hits = np.flatnonzero(a[i : i + _CHUNK] == 0)
+        out[found : found + len(hits)] = hits + i
+        found += len(hits)
+    return out
 
 
 def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
@@ -538,7 +556,7 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
             u = step[u]
             walked += 1
         gap[i], nxt[i] = walked, u // _RULER_STRIDE
-    rest = np.flatnonzero(mark == 0)
+    rest = _zeros_of(mark, perm.dtype)
     rest_succ = np.searchsorted(rest, perm[rest]).tolist()
     return _cycle_sums(nxt, gap) + _cycle_sums(rest_succ, [1] * len(rest))
 
@@ -627,7 +645,7 @@ def census_graph(
     p = m.p
     t = multiplicative_order(m.g, p)
     _check_budget(f"p={p}: the graph pass on the {t} elements of <g>",
-                  _GRAPH_BYTES_PER_NODE * t * (1 if t <= 2**31 else 2), mem_budget)
+                  _GRAPH_BYTES_PER_NODE, t, mem_budget)
     table = _subgroup_map(m, t)
     if t == p - 1:  # g is a primitive root: S is a permutation, with nothing to peel
         summary = _graph_summary(_cycle_lengths(table), 0)

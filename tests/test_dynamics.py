@@ -429,6 +429,21 @@ class TestDecomposeTable:
     def test_star_into_fixed_point(self):
         self.check([0] * 12)
 
+    # In-degrees are counted in a byte, and again in the table's dtype when
+    # a count wraps (the counts then sum to less than n). A node of 256
+    # preimages would otherwise read as a leaf.
+    @pytest.mark.parametrize("fan_in", [255, 256, 257])
+    def test_in_degree_past_a_byte(self, fan_in):
+        # node 0 of the 3-cycle 0 -> 1 -> 2 -> 0 has fan_in preimages: 2,
+        # and fan_in - 1 tail nodes, each fed by one leaf
+        tails = range(3, fan_in + 2)
+        table = [1, 2, 0] + [0] * len(tails) + list(tails)
+        self.check(table)
+
+    @pytest.mark.parametrize("n", [257, 512])
+    def test_constant_map_past_a_byte(self, n):
+        self.check([0] * n)
+
     def test_rho(self):
         # 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 2: tail 2 into a 4-cycle
         self.check([1, 2, 3, 4, 5, 2])
@@ -656,7 +671,8 @@ print(multiplicative_order(m.g, m.p), (high_water() - base) * 1024)
                               env={**os.environ, "PYTHONPATH": src})
         return tuple(map(int, done.stdout.split()))
 
-    @pytest.mark.parametrize("g", [2, 6])  # index 7, and a primitive root (a permutation)
+    # index 7; index 2, the widest peel; and a primitive root (a permutation)
+    @pytest.mark.parametrize("g", [2, 3, 6])
     def test_graph_pass(self, g):
         t, grown = self.peak(10000019, g, "census_graph(m, 3)")
         assert t >= 10**6
