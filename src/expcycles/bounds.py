@@ -6,10 +6,10 @@ Three bound families are evaluated against exact censuses:
   k=2:  N <= ceil(2p/z) + 2 + 2g**(2z) with z = ceil(log p / (3 log g))
   k=3:  N <= (3p + g**(2g+1) + g + 1) / 4
 
-All comparisons are exact integer inequalities. verify decides all
-three; thm1_sweep lists k=1 violations for all g. Above THM3_EXACT_BITS
-verify computes no power: there g**(2g+1) >= 2**512 > 4p (p < 2**63),
-so the k=3 bound holds and is vacuous.
+All comparisons are exact integer inequalities; verify decides all
+three. Above THM3_EXACT_BITS verify computes no power: there
+g**(2g+1) >= 2**512 > 4p (p < 2**63), so the k=3 bound holds and is
+vacuous.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import math
 
 from . import dynamics
-from .modarith import primes_in_range
 
 # Smallest p for which the fixed-point bound is guaranteed.
 THM1_MIN_P = 11
@@ -162,15 +161,3 @@ def verify(m: dynamics.ExpMap, census: dynamics.CycleCensus | None = None) -> Bo
         notes=tuple(notes),
     )
 
-
-def thm1_sweep(p_min: int, p_max: int) -> list[tuple[int, int, int]]:
-    """(p, g, n1) for every pair violating the fixed-point bound; expect [].
-
-    Exhaustive over all primes in [p_min, p_max] and all g in 1..p-1,
-    using the O(p) all-bases fixed-point count.
-    """
-    out: list[tuple[int, int, int]] = []
-    for p in primes_in_range(max(p_min, 3), p_max):
-        counts = dynamics.fixed_point_counts_all_bases(p).tolist()
-        out.extend((p, g, n1) for g, n1 in enumerate(counts) if g and not thm1_holds(p, n1))
-    return out

@@ -171,10 +171,16 @@ def _census_flat(row: dict) -> list:
     )
 
 
+def _require_budget(mem_budget: int) -> None:
+    if mem_budget < 0:
+        raise ValueError(f"--mem-budget must be >= 0, got {mem_budget}")
+
+
 def cmd_census(args) -> int:
     _require_prime(args.p)
     m = dynamics.ExpMap(args.p, args.g)
     dynamics._require_kmax(args.kmax)
+    _require_budget(args.mem_budget)
     return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
                  _census_columns(args.kmax), _census_flat)
 
@@ -236,6 +242,13 @@ def _primes(pmin: int, pmax: int) -> list[int]:
     return primes_in_range(max(pmin, 3), pmax)
 
 
+def _range_primes(args) -> list[int]:
+    """_primes of a verify-bounds or sweep range; --workers below 1 is invalid input."""
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    return _primes(args.pmin, args.pmax)
+
+
 def _prime_rows(row_fn, args, p: int) -> list[tuple[dict, bool]]:
     """One pool task: the rows of prime p, in g order."""
     return [row_fn(p, g, args) for g in _select_gs(p, args)]
@@ -266,7 +279,7 @@ def _range_rows(primes: list[int], args, row_fn):
 
 
 def cmd_verify_bounds(args) -> int:
-    return _emit(args, _range_rows(_primes(args.pmin, args.pmax), args, _bounds_row),
+    return _emit(args, _range_rows(_range_primes(args), args, _bounds_row),
                  _BOUNDS_COLUMNS, _bounds_flat)
 
 
@@ -295,7 +308,8 @@ def _sweep_flat(row: dict) -> list:
 
 def cmd_sweep(args) -> int:
     dynamics._require_kmax(args.kmax)
-    return _emit(args, _range_rows(_primes(args.pmin, args.pmax), args, _sweep_row),
+    _require_budget(args.mem_budget)
+    return _emit(args, _range_rows(_range_primes(args), args, _sweep_row),
                  _sweep_columns(args.kmax), _sweep_flat)
 
 
@@ -324,8 +338,8 @@ def _fact1_rows(args, prime_pool: list[int]):
 
 def cmd_lemma_fact1(args) -> int:
     prime_pool = primes_in_range(3, args.pmax)
-    if not prime_pool or args.umax < 0:
-        raise ValueError("lemma fact1 needs --pmax >= 3 and --umax >= 0")
+    if not prime_pool or args.umax < 0 or args.trials < 0:
+        raise ValueError("lemma fact1 needs --pmax >= 3, --umax >= 0 and --trials >= 0")
     return _emit(args, _fact1_rows(args, prime_pool), ["check", "trials", "seed", "failures"],
                  lambda r: [r["check"], r["trials"], r["seed"], len(r["failures"])])
 
@@ -375,8 +389,8 @@ def _comb_rows(args):
 
 
 def cmd_lemma_comb(args) -> int:
-    if args.nmax < 1 or args.k < 1:
-        raise ValueError("lemma comb needs --nmax >= 1 and --k >= 1")
+    if args.nmax < 1 or args.k < 1 or args.random < 0:
+        raise ValueError("lemma comb needs --nmax >= 1, --k >= 1 and --random >= 0")
     return _emit(args, _comb_rows(args), ["check", "instances", "nmax", "k", "seed", "failures"],
                  lambda r: [r["check"], r["instances"], r["nmax"], r["k"], r["seed"],
                             len(r["failures"])])

@@ -23,17 +23,18 @@ _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
 and one power of g**w (w about sqrt(t)), and reduces every block mod p
 and then mod t straight into the int32 S. Every reduction is _reduce, a
-floor division by the scalar modulus, which ecdynamics shares. The
-table census (_census_from_table) runs the starts _CHUNK at a time,
-gathering the k iterates with np.take into two chunk buffers, so no
-pass over S allocates or streams a t-long temporary. The chunk buffers
-live in one module workspace (_work), made at the first table pass and
-reused from call to call; census_table also builds S there, in a buffer
-that grows geometrically, so a sweep over many (p, g) faults in no new
-pages once it holds the largest S. Above _WORKSPACE_MAX_ELEMENTS a call
-gets a fresh S instead. The workspace makes the module not reentrant:
-the package runs in parallel by processes, never by threads. No array
-the module returns aliases it.
+floor division by the scalar modulus. The table census
+(_census_from_table) runs the starts _CHUNK at a time, gathering the k
+iterates with np.take into two chunk buffers, so no pass over S
+allocates or streams a t-long temporary. The chunk buffers live in one
+module workspace (_work), made at the first table pass and reused from
+call to call, the only chunk scratch of both table builds: ecdynamics
+builds the curve map's table in it, on the same _CHUNK. census_table
+also builds S there, in a buffer that grows geometrically, so a sweep
+over many (p, g) faults in no new pages once it holds the largest S.
+Above _WORKSPACE_MAX_ELEMENTS a call gets a fresh S instead. The
+workspace makes the module not reentrant: the package runs in parallel
+by processes, never by threads. No array the package returns aliases it.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -86,11 +87,14 @@ M_SEMANTICS = ("least", "dividing")
 # Largest modulus for which int64 products a*b with a, b < p stay exact.
 _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
 
-# Elements per chunk of the table pass's reductions and gathers: a chunk's
-# scratch stays in cache, where a whole-array pass at t = 1e7 does not
-# (there, _reduce took 1.7 ns per element in chunks and 3.3 ns in one pass;
-# np.take 3.8 ns in chunks, where whole-table fancy indexing took 4.9 ns).
-_CHUNK = 1 << 14
+# Elements per chunk of both table builds: a chunk's scratch stays in cache,
+# where a whole-array pass at t = 1e7 does not (there, _reduce took 1.7 ns
+# per element in chunks and 3.3 ns in one pass; np.take 3.8 ns in chunks,
+# where whole-table fancy indexing took 4.9 ns). Against 2**14, ec_census
+# at N = 2000356 took about 50 ms instead of 65 (a 2-core host, 6
+# interleaved runs); the prime map's times did not separate, and its peak
+# RSS grows by about 0.6 MB per doubling.
+_CHUNK = 1 << 15
 
 # census_table keeps its int32 S in the workspace between calls while <g> has
 # at most this many elements (4 B per element at the cap); a larger S is a
@@ -98,28 +102,32 @@ _CHUNK = 1 << 14
 _WORKSPACE_MAX_ELEMENTS = 1 << 20
 
 # Peak working memory of census_table per element of <g>, as peak RSS over
-# the interpreter baseline (getrusage): 4.19 B at t = 1,000,002 (S in the
-# workspace) and 4.02 B at t = 10,000,018 (a fresh S); the chunk scratch is
-# a few hundred kB whatever t is. 5 leaves 1.2x headroom; TestMemoryModels
-# holds the pass to it.
+# the post-import baseline (VmHWM): 4.16 B at t = 10,000,018 (a fresh S).
+# The chunk scratch adds about 1 MB whatever t is, which shows at small t:
+# 5.65 B at t = 1,000,002 (S in the workspace). 5 leaves 1.2x headroom at
+# t = 1e7; TestMemoryModels holds the pass to it.
 _CENSUS_BYTES_PER_NODE = 5
 
 
 class _Workspace:
-    """The table pass's buffers, reused from call to call.
+    """The chunk buffers of both table builds, reused from call to call.
 
-    block and quot (int64) hold a block of powers and the quotients of
-    its reductions; iterates (int32) holds two chunks of gathered
-    iterates and the chunk's starts, ramp the offsets 0.._CHUNK-1; equal
-    holds a chunk's comparison. table is census_table's S: it grows
-    geometrically, so a sweep over many subgroup sizes faults new pages
-    in only O(log t) times, and never past _WORKSPACE_MAX_ELEMENTS.
-    Nothing returned by the module aliases these buffers.
+    block (int64) holds a block of powers, or the slope numerators of a
+    curve chunk (ecdynamics._add_block); quot (int64) the quotients of
+    every _reduce, one more than a chunk for the padded level of
+    _batch_inverse; tree (int64) a curve chunk's product tree. iterates
+    (int32) holds two chunks of gathered iterates and the chunk's starts,
+    ramp the offsets 0.._CHUNK-1; equal holds a chunk's comparison. table
+    is census_table's S: it grows geometrically, so a sweep over many
+    subgroup sizes faults new pages in only O(log t) times, and never
+    past _WORKSPACE_MAX_ELEMENTS. Nothing returned by the module or by
+    ecdynamics aliases these buffers.
     """
 
     def __init__(self) -> None:
         self.block = np.empty(_CHUNK, dtype=np.int64)
-        self.quot = np.empty(_CHUNK, dtype=np.int64)
+        self.quot = np.empty(_CHUNK + 1, dtype=np.int64)
+        self.tree = np.empty(2 * _CHUNK + 64, dtype=np.int64)
         self.iterates = np.empty((3, _CHUNK), dtype=np.int32)
         self.ramp = np.arange(_CHUNK, dtype=np.int32)
         self.equal = np.empty(_CHUNK, dtype=bool)
@@ -292,14 +300,15 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
     return CycleCensus(k_max, tuple(n_div), tuple(n_least))
 
 
-def _reduce(a: np.ndarray, m: int, quot: np.ndarray, out: np.ndarray | None = None) -> None:
-    """out = a mod m (out defaults to a), for int64 a in (-m, m**2); quot,
-    at least len(a) long, holds a // m. numpy divides int64 by a scalar
-    through libdivide: with the multiply and subtract, about half the time
-    of np.remainder (2.0 against 4.1 ns per element at 2**16 elements). An
-    out of a narrower dtype takes the result unchecked (casting="unsafe").
+def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
+    """out = a mod m (out defaults to a), for int64 a in (-m, m**2) of at
+    most _CHUNK + 1 elements; the workspace's quot holds a // m. numpy
+    divides int64 by a scalar through libdivide: with the multiply and
+    subtract, about half the time of np.remainder (2.0 against 4.1 ns per
+    element at 2**16 elements). An out of a narrower dtype takes the
+    result unchecked (casting="unsafe").
     """
-    q = quot[: len(a)]
+    q = _work().quot[: len(a)]
     np.floor_divide(a, m, out=q)
     q *= m
     np.subtract(a, q, out=a if out is None else out, casting="unsafe")
@@ -328,7 +337,7 @@ def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray
     row = _scalar_powers(base, width, p)
     lead = _scalar_powers(pow(base, width, p), -(-count // width), p)
     span = _CHUNK // width * width
-    block, quot = _work().block, _work().quot
+    block = _work().block
     for lo in range(0, count, span):
         n = min(span, count - lo)
         rows, rem = divmod(n, width)
@@ -337,7 +346,7 @@ def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray
                     out=block[: rows * width].reshape(rows, width))
         if rem:  # the last, partial row
             np.multiply(row[:rem], lead[first + rows], out=block[rows * width : n])
-        _reduce(block[:n], p, quot)
+        _reduce(block[:n], p)
         yield lo, block[:n]
 
 
@@ -612,7 +621,7 @@ def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarra
         out = np.empty(t, dtype=np.int32 if t <= 2**31 else np.int64)
     if p <= _NUMPY_MOD_LIMIT:
         for lo, block in _pow_blocks(g, t, p):
-            _reduce(block, t, _work().quot, out[lo : lo + len(block)])
+            _reduce(block, t, out[lo : lo + len(block)])
         return out
     values = [0] * t
     v = 1

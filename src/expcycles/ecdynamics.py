@@ -15,17 +15,17 @@ each F-periodic v >= 1 has exactly one f-periodic point in {v, N-v}, of
 the same period, so every n_dividing[k] is unchanged. ec_census_graph
 decomposes the full table, a check independent of the fold.
 
-_x_half builds its points by block doubling in numpy: the points
-0..f-1 plus fG give the points f..2f-1, by affine addition on int64
-coordinate arrays where x = p stands for the point at infinity; the
-first blocks are scalar additions. Each chunk's slope denominators are inverted by one product
-tree, _batch_inverse: about 3 modular multiplies per element plus one
-scalar inverse. The chunk buffers (numerators, the tree, the quotients
-of _reduce) are allocated once per table and written with out=, and
-every reduction mod p is dynamics._reduce, the floor division by the
-scalar p that the prime map's table builder also uses. _x_half
-refuses p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT, where
-its products would overflow silently. point_add and scalar_mul stay the
+_x_half builds its points by block doubling in numpy, starting from
+the point O: the points 0..f-1 plus fG give the points f..2f-1, by
+affine addition on int64 coordinate arrays where x = p stands for the
+point at infinity, _CHUNK lanes at a time. Each chunk's slope
+denominators are inverted by one product tree, _batch_inverse: about 3
+modular multiplies per element plus one scalar inverse. The chunk
+buffers (numerators, the tree, the quotients of _reduce) are the prime
+map's, in the one workspace of dynamics, and every reduction mod p is
+dynamics._reduce, the floor division by a scalar of both table builds.
+_x_half refuses p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT,
+where its products would overflow silently. point_add and scalar_mul stay the
 scalar group law; ec_apply, one scalar_mul per value, is the independent
 check of the table.
 
@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (
+    _CHUNK,
     CycleCensus,
     FunctionalGraphSummary,
     _census_from_cycles,
@@ -56,20 +57,12 @@ from .dynamics import (
     _reduce,
     _require_int64_exact,
     _require_kmax,
+    _work,
     decompose_table,
 )
 from .modarith import check_prime_modulus
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
-
-# Elements per vectorized point-addition step of ec_table; its temporaries
-# stay a few MB whatever N is.
-_EC_CHUNK = 1 << 16
-
-# Points ec_table adds by scalar point_add before block doubling: below
-# this size a block's fixed ~8 numpy calls per level of the _batch_inverse
-# tree cost more (fastest of 32..512 at N = 100, 240, 1068 and 4036).
-_EC_SCALAR_BASE = 128
 
 # Largest p whose curve order is a Legendre-symbol sum; above it a point of
 # E or of its twist always pins N down (Mestre; Cremona-Sutherland 2010).
@@ -252,15 +245,14 @@ def ec_apply(m: ECExpMap, u: int) -> int:
     return 0 if point is None else point[0] % m.n
 
 
-def _batch_inverse(tree: np.ndarray, n: int, p: int, quot: np.ndarray) -> None:
-    """tree[:n] = tree[:n]**-1 mod p elementwise, for units in (-p, p).
+def _batch_inverse(tree: np.ndarray, n: int, p: int) -> None:
+    """tree[:n] = tree[:n]**-1 mod p elementwise, for units in (-p, p), n <= _CHUNK.
 
     Montgomery's trick on a product tree whose upper levels follow in
     tree[n:] (the whole tree takes at most 2n + 2 ceil(log2 n) + 1
-    entries): pairs are multiplied up to one root (odd levels padded
-    with 1), the root is inverted once, and each child's inverse is its
-    parent's inverse times its sibling. quot, of at least n + 1 entries,
-    is the scratch of _reduce.
+    entries, as the workspace's tree holds): pairs are multiplied up to
+    one root (odd levels padded with 1), the root is inverted once, and
+    each child's inverse is its parent's inverse times its sibling.
     """
     levels = []
     lo, size = 0, n
@@ -271,32 +263,28 @@ def _batch_inverse(tree: np.ndarray, n: int, p: int, quot: np.ndarray) -> None:
         levels.append((lo, size))
         up = tree[lo + size : lo + size + size // 2]
         np.multiply(tree[lo : lo + size : 2], tree[lo + 1 : lo + size : 2], out=up)
-        _reduce(up, p, quot)
+        _reduce(up, p)
         lo, size = lo + size, size // 2
     tree[lo] = pow(int(tree[lo]), -1, p)
     for lo, size in reversed(levels):
         level = tree[lo : lo + size]
         parent = tree[lo + size : lo + size + size // 2]
-        left = quot[: size // 2]
+        left = _work().quot[: size // 2]  # _reduce's scratch, free until the _reduce below
         np.multiply(parent, level[1::2], out=left)
         np.multiply(parent, level[0::2], out=level[1::2])
         level[0::2] = left
-        _reduce(level, p, quot)
-
-
-def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(num, tree, quot) buffers of _add_block for chunks of up to size < 2**31 lanes."""
-    return (np.empty(size, dtype=np.int64), np.empty(2 * size + 64, dtype=np.int64),
-            np.empty(size + 1, dtype=np.int64))
+        _reduce(level, p)
 
 
 def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
-               x3: np.ndarray, y3: np.ndarray, work: tuple) -> None:
-    """(x3, y3) = (x1, y1) + q elementwise; x == p marks the point at infinity.
+               x3: np.ndarray, y3: np.ndarray) -> None:
+    """(x3, y3) = (x1, y1) + q elementwise, for at most _CHUNK lanes; x == p
+    marks the point at infinity.
 
-    work is a _workspace at least len(x1) long. The chord formula runs on
-    every lane; the lanes P = O and P = +-Q, where it does not apply, get
-    a unit denominator and then their result Q, 2Q or O.
+    The slope numerators go in the workspace's block, the denominators
+    in its tree. The chord formula runs on every lane; the lanes P = O
+    and P = +-Q, where it does not apply, get a unit denominator and then
+    their result Q, 2Q or O.
     """
     p = curve.p
     if q is None:
@@ -305,23 +293,23 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
         return
     qx, qy = q
     n = len(x1)
-    num, tree, quot = work
-    slope, den = num[:n], tree[:n]
+    work = _work()
+    slope, den = work.block[:n], work.tree[:n]
     np.subtract(qy, y1, out=slope)  # differences lie in (-p, p), which the
     np.subtract(qx, x1, out=den)  # tree and _reduce accept unlifted
     special = np.flatnonzero((x1 == qx) | (x1 == p))
     den[special] = 1
-    _batch_inverse(tree, n, p, quot)
+    _batch_inverse(work.tree, n, p)
     slope *= den
-    _reduce(slope, p, quot)
+    _reduce(slope, p)
     np.multiply(slope, slope, out=x3)
     x3 -= x1
     x3 -= qx
-    _reduce(x3, p, quot)
+    _reduce(x3, p)
     np.subtract(x1, x3, out=y3)
     y3 *= slope
     y3 -= y1
-    _reduce(y3, p, quot)
+    _reduce(y3, p)
     if len(special):
         double = point_add(curve, q, q)
         dx, dy = (p, 0) if double is None else double
@@ -334,34 +322,28 @@ def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
 def _x_half(m: ECExpMap) -> np.ndarray:
     """h[u] = x(uG) mod N for u in 0..N//2, x(O) := 0; int32 if N < 2**31.
 
-    Block doubling: once the points 0..f-1 are known, the next block is
-    P[i] + fG, in chunks of _EC_CHUNK that share one _workspace; the first
-    _EC_SCALAR_BASE points are a running sum of scalar point_add.
+    Block doubling from the point O: once the points 0..f-1 are known,
+    the next block is P[i] + fG, _CHUNK lanes at a time.
     """
     p, n = m.curve.p, m.n // 2 + 1
     _require_int64_exact(p)
     xs = np.empty(n, dtype=np.int64)
     ys = np.empty(n, dtype=np.int64)
-    filled = min(n, _EC_SCALAR_BASE)
-    points: list[Point] = [None]
-    for _ in range(1, filled):
-        points.append(point_add(m.curve, points[-1], m.gen))
-    xs[:filled] = [p if pt is None else pt[0] for pt in points]
-    ys[:filled] = [0 if pt is None else pt[1] for pt in points]
-    work = _workspace(min(n, _EC_CHUNK))
+    xs[0], ys[0] = p, 0  # the point O
+    filled = 1
     while filled < n:
         take = min(filled, n - filled)
         q = scalar_mul(m.curve, filled, m.gen)
-        for lo in range(0, take, _EC_CHUNK):
-            hi = min(lo + _EC_CHUNK, take)
+        for lo in range(0, take, _CHUNK):
+            hi = min(lo + _CHUNK, take)
             _add_block(m.curve, xs[lo:hi], ys[lo:hi], q,
-                       xs[filled + lo : filled + hi], ys[filled + lo : filled + hi], work)
+                       xs[filled + lo : filled + hi], ys[filled + lo : filled + hi])
         filled += take
     del ys
     xs[xs == p] = 0
     out = np.empty(n, dtype=np.int32) if m.n < 2**31 else xs
-    for lo in range(0, n, _EC_CHUNK):
-        _reduce(xs[lo : lo + _EC_CHUNK], m.n, work[2], out[lo : lo + _EC_CHUNK])
+    for lo in range(0, n, _CHUNK):
+        _reduce(xs[lo : lo + _CHUNK], m.n, out[lo : lo + _CHUNK])
     return out
 
 

@@ -28,7 +28,9 @@ def report(number: int, text: str) -> None:
 
 
 def test_criterion_01_fixed_point_bound_sweep():
-    violations = bounds.thm1_sweep(11, 2003)
+    violations = [(p, g, n1) for p in primes_in_range(11, 2003)
+                  for g, n1 in enumerate(dynamics.fixed_point_counts_all_bases(p).tolist())
+                  if g and not bounds.thm1_holds(p, n1)]
     assert violations == []
     # spot-check the vectorized counter against the definitional census
     rng = random.Random(101)

@@ -155,11 +155,14 @@ class TestThm3Value:
 
 class TestSweeps:
     def test_thm1_no_violations_small(self):
-        assert bounds.thm1_sweep(11, 300) == []
+        violations = [(p, g, n1) for p in trial_primes_between(11, 300)
+                      for g, n1 in enumerate(dynamics.fixed_point_counts_all_bases(p).tolist())
+                      if g and not bounds.thm1_holds(p, n1)]
+        assert violations == []
 
     def test_sweep_counts_match_census(self):
-        # the vectorized all-bases counter behind thm1_sweep agrees with
-        # per-map censuses
+        # the vectorized all-bases counter behind the sweep above agrees
+        # with per-map censuses
         p = 61
         counts = dynamics.fixed_point_counts_all_bases(p)
         for g in range(1, p):

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -351,7 +353,14 @@ sys.exit(cli.main(["verify-bounds", "--pmin", "11", "--pmax", "97", "--g-list", 
         ("verify-bounds", "--pmin", "100", "--pmax", "50"),
         ("sweep", "--pmin", "11", "--pmax", "11", "--kmax", "0"),
         ("census", "--p", "4", "--g", "2"),
-    ], ids=["verify-bounds", "sweep", "census"])
+        ("verify-bounds", "--pmin", "11", "--pmax", "50", "--workers", "0"),
+        ("sweep", "--pmin", "11", "--pmax", "50", "--workers", "-2"),
+        ("census", "--p", "11", "--g", "2", "--mem-budget", "-1"),
+        ("sweep", "--pmin", "11", "--pmax", "11", "--mem-budget", "-1"),
+        ("lemma", "fact1", "--trials", "-5"),
+        ("lemma", "comb", "--random", "-3"),
+    ], ids=["verify-bounds", "sweep", "census", "verify-bounds-workers", "sweep-workers",
+            "census-mem-budget", "sweep-mem-budget", "fact1-trials", "comb-random"])
     def test_usage_error_creates_no_file(self, capsys, tmp_path, argv):
         target = tmp_path / "report.jsonl"
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
@@ -478,7 +487,9 @@ class TestLemmaCommands:
         ("fact1", "--trials", "5", "--umax", "-1"),
         ("comb", "--random", "5", "--nmax", "0"),
         ("comb", "--random", "5", "--k", "0"),
-    ], ids=["fact1-pmax", "fact1-umax", "comb-nmax", "comb-k"])
+        ("fact1", "--trials", "-5"),
+        ("comb", "--random", "-3"),
+    ], ids=["fact1-pmax", "fact1-umax", "comb-nmax", "comb-k", "fact1-trials", "comb-random"])
     def test_bad_ranges_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, "lemma", *argv)
         assert (code, out) == (2, "")
@@ -598,3 +609,31 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "[]"
+
+
+class TestReadmeExamples:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_every_example_runs_in_ci(self):
+        # each `expcycles ...` line of the README's sh blocks (inline
+        # comments stripped) is a command of the workflow's README step, as
+        # written or with its output piped or redirected
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        examples = [line.split("#", 1)[0].strip()
+                    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+                    for line in block.splitlines() if line.startswith("expcycles ")]
+        lines = (self.ROOT / ".github" / "workflows" / "tests.yml").read_text(
+            encoding="utf-8").splitlines()
+        step = next(i for i, line in enumerate(lines) if "name: README examples" in line)
+        run = next(i for i in range(step, len(lines)) if lines[i].strip() == "run: |")
+        indent = len(lines[run]) - len(lines[run].lstrip())
+        commands = []
+        for line in lines[run + 1:]:
+            if line.strip() and len(line) - len(line.lstrip()) <= indent:
+                break
+            commands.append(line.strip())
+        assert examples and commands
+        missing = [ex for ex in examples
+                   if not any(cmd == ex or cmd.startswith(ex + " ") and cmd[len(ex) + 1] in "|>"
+                              for cmd in commands)]
+        assert missing == []

@@ -169,15 +169,14 @@ class TestSharedReduce:
         if high == 1:
             values.append(-1)
         a = np.array(values, dtype=np.int64)
-        quot = np.empty(len(a) + 3, dtype=np.int64)
-        dynamics._reduce(a, p, quot)
+        dynamics._reduce(a, p)
         assert a.tolist() == [v % p for v in values]
 
     def test_reduce_into_int32(self):
         t = 2**31 - 1
         values = [0, t - 1, t, (t - 1) ** 2, 12345678901234]
         out = np.empty(len(values), dtype=np.int32)
-        dynamics._reduce(np.array(values, dtype=np.int64), t, np.empty(len(values), dtype=np.int64), out)
+        dynamics._reduce(np.array(values, dtype=np.int64), t, out)
         assert out.tolist() == [v % t for v in values]
 
 
@@ -190,7 +189,7 @@ class TestWorkspace:
         # t rises, falls and repeats: g = 1 (t = 1), primitive roots (t = p-1),
         # proper subgroups, one t above the default _CHUNK
         seq = [(1009, 1), (1009, 11), (101, 2), (2003, 5), (1009, 11), (101, 100),
-               (1201, primitive_root(1201)), (20011, primitive_root(20011)), (13, 3),
+               (1201, primitive_root(1201)), (40009, primitive_root(40009)), (13, 3),
                (2003, 4), (1009, 1), (101, 2)]
         return [dynamics.ExpMap(p, g) for p, g in seq]
 
@@ -247,10 +246,14 @@ class TestWorkspace:
             return wrapper
 
         # census_graph's summary comes from decompose_table(_subgroup_map(...)),
-        # or for a primitive root from S alone
+        # or for a primitive root from S alone; ec_table and ec_census each
+        # build on _x_half, which runs in the same workspace
         monkeypatch.setattr(dynamics, "decompose_table", recording(dynamics.decompose_table))
         monkeypatch.setattr(dynamics, "_subgroup_map", recording(dynamics._subgroup_map))
-        curve = ecdynamics.ECExpMap(ecdynamics.CurveParams(101, 2, 3), (1, 39))
+        monkeypatch.setattr(ecdynamics, "_x_half", recording(ecdynamics._x_half))
+        # N = 105 and 2000356: one chunk, and many of them
+        curves = [ecdynamics.ECExpMap(ecdynamics.CurveParams(101, 2, 3), (1, 39)),
+                  ecdynamics.ECExpMap(ecdynamics.CurveParams(2000003, 2, 3), (0, 919159))]
         work = dynamics._work()
         for m in self._maps():
             dynamics.census_table(m, 3)
@@ -259,14 +262,21 @@ class TestWorkspace:
             arrays = [dynamics._subgroup_map(m, t)]
             dynamics.census_graph(m, k_max=3)
             dynamics.fixed_points(m)
-            arrays.append(ecdynamics.ec_table(curve))
             # S of the direct call, of census_graph and of fixed_points, and
             # decompose_table's cycle lengths unless S is a permutation
             assert len(handed_out) == (3 if t == m.p - 1 else 4), m
+            if m.p == 40009:  # once, after a prime map has filled the workspace
+                for curve in curves:
+                    arrays.append(ecdynamics.ec_table(curve))
+                    arrays.append(ecdynamics._x_half(curve))
+                    ecdynamics.ec_census(curve, 3)
+                # _x_half under each of the three calls
+                assert len(handed_out) == 3 + 3 * len(curves)
             for arr in arrays + handed_out:
                 for part in arr if isinstance(arr, tuple) else (arr,):
                     if isinstance(part, np.ndarray):
-                        assert not np.shares_memory(part, work.table), m
+                        for buf in (work.table, work.block, work.quot, work.tree):
+                            assert not np.shares_memory(part, buf), m
 
 
 class TestCensusRoutes:

@@ -227,16 +227,19 @@ def _largest_int64_exact_prime():
 
 class TestBatchInverse:
     # a level of odd length is padded with 1: only the leaves for 3, 7 and
-    # 65535, deeper levels too for 5 and 65537 (every level); 65536 never
+    # _CHUNK - 1 (the chunk is a power of two), deeper levels too for 5 and
+    # 2**14 + 1 (every level); _CHUNK, the longest a chunk gets, never
     @pytest.mark.parametrize("p", [5, 7, 2000003, _largest_int64_exact_prime()])
     def test_matches_scalar_inverse(self, p):
         rng = np.random.default_rng(p % 1000)
-        for length in (1, 2, 3, 5, 7, 65535, 65536, 65537):
+        chunk = dynamics._CHUNK
+        tree = dynamics._work().tree
+        for length in (1, 2, 3, 5, 7, 2**14 + 1, chunk - 1, chunk):
+            assert length <= chunk
             d = rng.integers(1, p, size=length, dtype=np.int64)
             d[::3] -= p  # _add_block leaves its differences in (-p, p)
-            _num, tree, quot = ecdynamics._workspace(length)
             tree[:length] = d
-            ecdynamics._batch_inverse(tree, length, p, quot)
+            ecdynamics._batch_inverse(tree, length, p)
             assert tree[:length].tolist() == [pow(v, -1, p) for v in d.tolist()], (p, length)
 
 
@@ -276,12 +279,11 @@ class TestECApply:
         with pytest.raises(ValueError):
             ecdynamics.ec_apply(m, -1)
 
-    def test_table_matches_pointwise_apply(self, monkeypatch):
+    def test_table_matches_pointwise_apply(self):
         # every base point on curves with p = 1 and 3 mod 4, N odd and even,
         # including N prime (13, 0, 2) and p = N (97, 1, 1), 2-torsion bases
         # with y = 0 and bases of order below N, whose doubling blocks add
-        # Q = O and P = +-Q; the scalar base case is cut short so that the
-        # blocks build these tables
+        # Q = O and P = +-Q
         curves = [(5, 1, 1), (7, 0, 1), (11, 3, 3), (13, 0, 1), (13, 0, 2),
                   (97, 1, 1), (97, 2, 3), (101, 1, 1), (103, 0, 3), (103, 2, 3)]
         residues, parities, two_torsion, proper_order = set(), set(), 0, 0
@@ -290,12 +292,9 @@ class TestECApply:
             n = ecdynamics.curve_order(curve)
             for base in ec_brute_points(p, a, b):
                 m = ecdynamics.ECExpMap(curve, base, n=n)
-                expected = [ecdynamics.ec_apply(m, u) for u in range(n)]
-                for scalar_base in (1, 5, ecdynamics._EC_SCALAR_BASE):
-                    monkeypatch.setattr(ecdynamics, "_EC_SCALAR_BASE", scalar_base)
-                    table = ecdynamics.ec_table(m).tolist()
-                    assert table == expected, (p, a, b, base, scalar_base)
-                    assert all(table[u] == table[n - u] for u in range(1, n))
+                table = ecdynamics.ec_table(m).tolist()
+                assert table == [ecdynamics.ec_apply(m, u) for u in range(n)], (p, a, b, base)
+                assert all(table[u] == table[n - u] for u in range(1, n))
                 residues.add(p % 4)
                 parities.add(n % 2)
                 two_torsion += base[1] == 0
@@ -309,7 +308,7 @@ class TestECApply:
         curve = ecdynamics.CurveParams(1009, a, b)
         m = ecdynamics.ECExpMap(curve, base)
         assert _point_order(curve, base, m.n) == order
-        monkeypatch.setattr(ecdynamics, "_EC_CHUNK", 61)
+        monkeypatch.setattr(ecdynamics, "_CHUNK", 61)
         half = ecdynamics._x_half(m).tolist()
         assert half == [ecdynamics.ec_apply(m, u) for u in range(m.n // 2 + 1)]
 
@@ -358,8 +357,8 @@ class TestECCensus:
         # ec_census folds {v, N-v} together; _census_from_table on the full
         # mirrored table is the unfolded count. N odd and even (v = N/2 is
         # its own mirror), bases of order at most 6 (x = 0 at every multiple
-        # of the order) and N around 2 * _EC_SCALAR_BASE, where the half
-        # table first outgrows the scalar base case
+        # of the order) and N around 256, where the half table's last
+        # doubling block is one lane short of full, full, or one lane long
         rng = random.Random(48)
         maps = []
         for _ in range(20):
@@ -373,7 +372,7 @@ class TestECCensus:
                 if _point_order(curve, base, n) <= 6:
                     maps.append(ecdynamics.ECExpMap(curve, base, n=n))
                     small_order += 1
-        edge = 2 * ecdynamics._EC_SCALAR_BASE
+        edge = 256
         sizes = {}
         for p in trial_primes_between(edge - 30, edge + 30):
             for a, b in itertools.product(range(4), range(1, 6)):
