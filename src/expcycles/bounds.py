@@ -7,7 +7,8 @@ Three bound families are evaluated against exact censuses:
   k=3:  N <= (3p + g**(2g+1) + g + 1) / 4
 
 All comparisons are exact integer inequalities; verify decides all
-three. Above THM3_EXACT_BITS verify computes no power: there
+three, the k=3 bound on its numerator A = 4 * bound (4 * N <= A), with
+no Fraction. Above THM3_EXACT_BITS verify computes no power: there
 g**(2g+1) >= 2**512 > 4p (p < 2**63), so the k=3 bound holds and is
 vacuous.
 """
@@ -62,12 +63,17 @@ def thm2_bound_explicit(p: int, g: int) -> tuple[int, int]:
     return z, bound
 
 
+def _thm3_numerator(p: int, g: int) -> int:
+    """3p + g**(2g+1) + g + 1, four times the k=3 bound."""
+    return 3 * p + g ** (2 * g + 1) + g + 1
+
+
 def thm3_bound(p: int, g: int):
     """(3p + g**(2g+1) + g + 1) / 4 as an exact Fraction."""
     from fractions import Fraction  # here, so that importing bounds does not load it
     if g < 1:
         raise ValueError("g must be >= 1")
-    return Fraction(3 * p + g ** (2 * g + 1) + g + 1, 4)
+    return Fraction(_thm3_numerator(p, g), 4)
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,10 @@ def verify(m: dynamics.ExpMap, census: dynamics.CycleCensus | None = None) -> Bo
             notes.append("thm2: vacuous (bound exceeds p-1)")
 
     if (2 * g + 1) * g.bit_length() <= THM3_EXACT_BITS:
-        t3 = thm3_bound(p, g)
-        whole, half = divmod(int(2 * t3), 2)  # 3p+1 and g + g**(2g+1) are even
+        a = _thm3_numerator(p, g)  # the bound is a/4
+        whole, half = divmod(a // 2, 2)  # 3p+1 and g + g**(2g+1) are even
         t3_value = str(whole) + ("", ".5")[half]
-        t3_ok, t3_vacuous = n3 <= t3, t3 > p - 1
+        t3_ok, t3_vacuous = 4 * n3 <= a, a > 4 * (p - 1)
     else:  # g**(2g+1) >= 2**((2g+1)(bit_length-1)) >= 2**512 > 4p
         t3_value = f"({3 * p + g + 1} + {g}**{2 * g + 1})/4"
         t3_ok = t3_vacuous = True

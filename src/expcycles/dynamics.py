@@ -21,9 +21,16 @@ budget charges 8 bytes per element of <g>.
 
 _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
-and one power of g**w (w about sqrt(t)), and reduces every block mod p
-and then mod t straight into the int32 S. Every reduction is _reduce, a
-floor division by the scalar modulus. The table census
+and one power of g**w (w about sqrt(t)); the row and the powers of g**w
+come from the same broadcast step once more, so a map costs
+O(t**(1/4)) Python products. When t is even, g**(t/2) is the one
+element of order 2, -1, so g**(e + t/2) mod p = p - (g**e mod p): only
+the powers e < t/2 are taken, and each block fills S[lo:hi] and
+S[t/2+lo : t/2+hi]. Every block is reduced mod p in uint64 (products lie
+in [0, p**2), p < 2**32) into uint32 values, then mod t in uint32
+straight into the int32 S. Every reduction of a chunk is _reduce, a
+floor division by the scalar modulus in the dtype of its input (only
+the O(sqrt(t)) row and powers of g**w take numpy's %). The table census
 (_census_from_table) runs the starts _CHUNK at a time, gathering the k
 iterates with np.take into two chunk buffers, so no pass over S
 allocates or streams a t-long temporary. The chunk buffers live in one
@@ -103,21 +110,25 @@ _WORKSPACE_MAX_ELEMENTS = 1 << 20
 
 # Peak working memory of census_table per element of <g>, as peak RSS over
 # the post-import baseline (VmHWM): 4.16 B at t = 10,000,018 (a fresh S).
-# The chunk scratch adds about 1 MB whatever t is, which shows at small t:
-# 5.65 B at t = 1,000,002 (S in the workspace). 5 leaves 1.2x headroom at
-# t = 1e7; TestMemoryModels holds the pass to it.
+# The chunk scratch adds about 1.6 MB whatever t is, which shows at small t:
+# 5.65 B at t = 1,000,002 (S in the workspace); _check_budget charges it
+# on top. 5 leaves 1.2x headroom at t = 1e7; TestMemoryModels holds the
+# pass to it.
 _CENSUS_BYTES_PER_NODE = 5
 
 
 class _Workspace:
     """The chunk buffers of both table builds, reused from call to call.
 
-    block (int64) holds a block of powers, or the slope numerators of a
-    curve chunk (ecdynamics._add_block); quot (int64) the quotients of
-    every _reduce, one more than a chunk for the padded level of
+    block (int64) holds a block of powers, as uint64 products below p**2,
+    or the slope numerators of a curve chunk (ecdynamics._add_block);
+    quot (int64) the quotients of every _reduce, viewed in the dtype of
+    its input, one more than a chunk for the padded level of
     _batch_inverse; tree (int64) a curve chunk's product tree. iterates
-    (int32) holds two chunks of gathered iterates and the chunk's starts,
-    ramp the offsets 0.._CHUNK-1; equal holds a chunk's comparison. table
+    (int32) holds two chunks of gathered iterates and the chunk's starts;
+    while S is built, and before the census gathers, its first two rows
+    hold a block's powers mod p and their mirror p - v as uint32. ramp
+    holds the offsets 0.._CHUNK-1; equal a chunk's comparison. table
     is census_table's S: it grows geometrically, so a sweep over many
     subgroup sizes faults new pages in only O(log t) times, and never
     past _WORKSPACE_MAX_ELEMENTS. Nothing returned by the module or by
@@ -132,6 +143,10 @@ class _Workspace:
         self.ramp = np.arange(_CHUNK, dtype=np.int32)
         self.equal = np.empty(_CHUNK, dtype=bool)
         self.table = np.empty(0, dtype=np.int32)
+
+    def chunk_bytes(self) -> int:
+        """Bytes of every buffer but table: what a pass holds whatever t is."""
+        return sum(buf.nbytes for buf in vars(self).values() if buf is not self.table)
 
     def table_for(self, t: int) -> np.ndarray | None:
         """A view of t elements of table, or None above the cap."""
@@ -159,8 +174,10 @@ class MemoryBudgetError(RuntimeError):
 def _check_budget(what: str, bytes_per_element: int, t: int, mem_budget: int) -> None:
     """Refuse a pass (`what`) over an S of t elements whose working memory,
     bytes_per_element per element (twice that when t > 2**31, where S and
-    its indices are int64), exceeds mem_budget."""
-    need = bytes_per_element * t * (1 if t <= 2**31 else 2)
+    its indices are int64) plus the workspace's chunk buffers (about 1.6
+    MB whatever t is; its table is part of the per-element charge),
+    exceeds mem_budget."""
+    need = bytes_per_element * t * (1 if t <= 2**31 else 2) + _work().chunk_bytes()
     if need > mem_budget:
         raise MemoryBudgetError(f"{what} needs ~{need} bytes, budget {mem_budget}")
 
@@ -301,52 +318,68 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
 
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
-    """out = a mod m (out defaults to a), for int64 a in (-m, m**2) of at
-    most _CHUNK + 1 elements; the workspace's quot holds a // m. numpy
-    divides int64 by a scalar through libdivide: with the multiply and
-    subtract, about half the time of np.remainder (2.0 against 4.1 ns per
-    element at 2**16 elements). An out of a narrower dtype takes the
-    result unchecked (casting="unsafe").
+    """out = a mod m (out defaults to a), for a of at most _CHUNK + 1
+    elements (2 * _CHUNK + 2 in uint32): int64 a in (-m, m**2), or
+    unsigned a of any value. The quotients a // m go in a view of the
+    workspace's quot in a's dtype. numpy divides by a scalar through
+    libdivide: with the multiply and subtract, about half the time of
+    np.remainder (2.0 against 4.1 ns per element at 2**16 elements in
+    int64), and the division itself is faster unsigned (per element 0.82
+    ns in int64, 0.49 in uint64, 0.16 in uint32). An out of another
+    dtype takes the result unchecked (casting="unsafe").
     """
-    q = _work().quot[: len(a)]
+    q = np.ndarray(a.shape, a.dtype, _work().quot)
     np.floor_divide(a, m, out=q)
     q *= m
     np.subtract(a, q, out=a if out is None else out, casting="unsafe")
 
 
-def _scalar_powers(base: int, count: int, p: int) -> np.ndarray:
-    """[base**0, ..., base**(count-1)] mod p as int64, one Python product each."""
-    values = [1] * count
-    for i in range(1, count):
-        values[i] = values[i - 1] * base % p
-    return np.array(values, dtype=np.int64)
+def _scalar_powers(bases: list[int], count: int, p: int) -> np.ndarray:
+    """[b**0, ..., b**(v*v-1)] mod p for each b in bases, with v*v >= count,
+    one uint64 row each, by the broadcast step of _pow_blocks once more:
+    with v about sqrt(count), b**(i*v + j) is (b**v)**i * b**j. A base
+    costs 2v Python products, and all share one multiply and one
+    reduction."""
+    v = math.isqrt(max(count - 1, 0)) + 1
+    lows, highs = [], []
+    for b in bases:
+        for powers in (lows, highs):  # the powers of b, then of b**v
+            x = 1
+            for _ in range(v):
+                powers.append(x)
+                x = x * b % p
+            b = x
+    factors = np.array(lows + highs, dtype=np.uint64).reshape(2, len(bases), v)
+    table = factors[1, :, :, None] * factors[0, :, None]
+    table %= p
+    return table.reshape(len(bases), -1)
 
 
 def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, block) with block = [base**lo, base**(lo+1), ...] mod p
-    (int64), in consecutive blocks of at most _CHUNK covering 0..count-1.
+    """Yield (lo, block) where block mod p is [base**lo, base**(lo+1), ...]
+    in consecutive blocks of at most _CHUNK covering 0..count-1. A block
+    holds uint64 products in [0, p**2), unreduced: each caller reduces it
+    mod p (unsigned, see _reduce) into the buffer it fills.
 
     Two levels: with w about sqrt(count), base**(i*w + j) is lead[i] *
     row[j], where row holds base**0..base**(w-1) and lead the powers of
-    base**w, both O(sqrt(count)) Python products. A block is whole rows,
-    one broadcast multiply and one _reduce, in the workspace's block,
-    which the next block overwrites.
+    base**w. _scalar_powers builds both by the same step once more, in
+    O(count**(1/4)) Python products. A block is whole rows and one
+    broadcast multiply, in a uint64 view of the workspace's block, which
+    the next block overwrites.
     """
     base %= p
     width = min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK)
-    row = _scalar_powers(base, width, p)
-    lead = _scalar_powers(pow(base, width, p), -(-count // width), p)
+    powers = _scalar_powers([base, pow(base, width, p)], max(width, -(-count // width)), p)
+    row, lead = powers[0, :width], powers[1]
     span = _CHUNK // width * width
-    block = _work().block
+    block = _work().block.view(np.uint64)
     for lo in range(0, count, span):
         n = min(span, count - lo)
-        rows, rem = divmod(n, width)
+        rows = -(-n // width)  # the last row may run past n, never past span
         first = lo // width
         np.multiply(lead[first : first + rows, None], row,
                     out=block[: rows * width].reshape(rows, width))
-        if rem:  # the last, partial row
-            np.multiply(row[:rem], lead[first + rows], out=block[rows * width : n])
-        _reduce(block[:n], p)
         yield lo, block[:n]
 
 
@@ -354,7 +387,7 @@ def _pow_range(base: int, count: int, p: int) -> np.ndarray:
     """[base**0, ..., base**(count-1)] mod p as int64."""
     out = np.empty(count, dtype=np.int64)
     for lo, block in _pow_blocks(base, count, p):
-        out[lo : lo + len(block)] = block
+        _reduce(block, p, out[lo : lo + len(block)])
     return out
 
 
@@ -369,9 +402,10 @@ def _require_int64_exact(p: int) -> None:
 
 def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
     """Least-period counts from period-dividing counts (n_div[d] = sum over e|d)."""
-    n_least = [0] * (k_max + 1)
+    n_least = list(n_div)
     for d in range(1, k_max + 1):
-        n_least[d] = n_div[d] - sum(n_least[e] for e in range(1, d) if d % e == 0)
+        for multiple in range(2 * d, k_max + 1, d):
+            n_least[multiple] -= n_least[d]
     return n_least
 
 
@@ -391,7 +425,9 @@ def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus
         bufs = np.empty((3, min(len(table), _CHUNK)), dtype=table.dtype)
     for lo in range(start, len(table), _CHUNK):
         n = min(_CHUNK, len(table) - lo)
-        base = np.add(work.ramp[:n], lo, out=bufs[2, :n], dtype=bufs.dtype)
+        base = work.ramp[:n]  # the starts lo..lo+n-1
+        if lo:
+            base = np.add(base, lo, out=bufs[2, :n], dtype=bufs.dtype)
         equal = work.equal[:n]
         cur = table[lo : lo + n]  # table[base] without a gather
         for k in range(1, k_max + 1):
@@ -613,20 +649,35 @@ def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarra
 
     e -> g**e mod p carries S onto the map restricted to <g>: the map
     sends g**e to g**(g**e mod p), which is g**S[e] because g**t == 1.
-    S is written into out (t long, int32) if given, else a fresh array;
-    each block of powers is reduced mod t straight into it.
+    S is written into out (t long, int32) if given, else a fresh array.
+    For even t, g**(t/2) = -1, so S[t/2 + e] = (p - (g**e mod p)) mod t
+    and only the powers e < t/2 are taken, in numpy and in Python alike.
+    Each block of powers is reduced mod p into uint32 values v in a view
+    of the workspace's iterates, beside them goes p - v, and both are
+    reduced mod t straight into the two halves of S.
     """
     p, g = m.p, m.g
     if out is None:
         out = np.empty(t, dtype=np.int32 if t <= 2**31 else np.int64)
+    halves = 2 - t % 2
+    half = t // halves
     if p <= _NUMPY_MOD_LIMIT:
-        for lo, block in _pow_blocks(g, t, p):
-            _reduce(block, t, out[lo : lo + len(block)])
+        dest = out.reshape(halves, half)
+        iterates = _work().iterates  # free until the census gathers
+        for lo, block in _pow_blocks(g, half, p):
+            n = len(block)
+            v = np.ndarray((halves, n), np.uint32, iterates)
+            _reduce(block, p, v[0])  # p < 2**32
+            if halves == 2:
+                np.subtract(p, v[0], out=v[1])
+            _reduce(v, t, dest[:, lo : lo + n])
         return out
     values = [0] * t
     v = 1
-    for e in range(t):
+    for e in range(half):
         values[e] = v % t
+        if halves == 2:
+            values[half + e] = (p - v) % t
         v = v * g % p
     out[:] = values
     return out

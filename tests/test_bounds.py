@@ -143,9 +143,9 @@ class TestThm3Value:
 
     def test_no_power_above_threshold(self, monkeypatch):
         def refuse(p, g):
-            raise AssertionError(f"thm3_bound({p}, {g}) called")
+            raise AssertionError(f"_thm3_numerator({p}, {g}) called")
 
-        monkeypatch.setattr(bounds, "thm3_bound", refuse)
+        monkeypatch.setattr(bounds, "_thm3_numerator", refuse)
         for g in (73, 100, 250):
             report = bounds.verify(dynamics.ExpMap(251, g))
             assert report.thm3_ok and "thm3: vacuous (bound exceeds p-1)" in report.notes

@@ -50,7 +50,8 @@ class TestCensusCommand:
         assert lines[0].startswith("p,g,n_div_1")
         assert lines[1].startswith("7,3,3,3,6")
 
-    # t = ord(3) mod 1009 = 168: the graph pass needs 14t bytes, the table census 5t
+    # t = ord(3) mod 1009 = 168: the graph pass needs 8t bytes and the table
+    # census 5t, each plus the workspace's chunk buffers
     T = 168
 
     def test_mem_budget_falls_back_to_naive(self, capsys, monkeypatch):
@@ -58,7 +59,7 @@ class TestCensusCommand:
             raise AssertionError("census_table ran over its budget")
 
         monkeypatch.setattr(dynamics, "census_table", no_table)
-        budget = dynamics._CENSUS_BYTES_PER_NODE * self.T - 1
+        budget = dynamics._CENSUS_BYTES_PER_NODE * self.T + dynamics._work().chunk_bytes() - 1
         code, out, _ = run_cli(capsys, "census", "--p", "1009", "--g", "3",
                                "--kmax", "2", "--mem-budget", str(budget))
         assert code == 0
@@ -72,8 +73,9 @@ class TestCensusCommand:
             raise AssertionError("census_naive ran where census_table fits")
 
         monkeypatch.setattr(dynamics, "census_naive", no_naive)
-        for budget in (dynamics._CENSUS_BYTES_PER_NODE * self.T,
-                       dynamics._GRAPH_BYTES_PER_NODE * self.T - 1):
+        fixed = dynamics._work().chunk_bytes()
+        for budget in (dynamics._CENSUS_BYTES_PER_NODE * self.T + fixed,
+                       dynamics._GRAPH_BYTES_PER_NODE * self.T + fixed - 1):
             code, out, _ = run_cli(capsys, "census", "--p", "1009", "--g", "3",
                                    "--kmax", "2", "--mem-budget", str(budget))
             assert code == 0

@@ -180,6 +180,61 @@ class TestSharedReduce:
         assert out.tolist() == [v % t for v in values]
 
 
+class TestMirroredSubgroupMap:
+    # For even t, g**(t/2) = -1: _subgroup_map takes the powers e < t/2 and
+    # fills S[t/2 + e] from p - g**e, in numpy and in Python alike. The
+    # oracle takes every power with pow().
+
+    @staticmethod
+    def routes(monkeypatch, p, g):
+        m = dynamics.ExpMap(p, g)
+        t = multiplicative_order(g, p)
+        numpy_s = dynamics._subgroup_map(m, t).tolist()
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 4)
+            python_s = dynamics._subgroup_map(m, t).tolist()
+        return t, numpy_s, python_s, [pow(g, e, p) % t for e in range(t)]
+
+    @pytest.mark.parametrize("p, g, t", [
+        (101, 1, 1), (101, 100, 2),
+        (23, 2, 11), (103, 2, 51),  # odd t: one pass, no mirror
+        (7, 3, 6), (11, 2, 10), (1019, 2, 1018), (2003, 5, 2002),  # t/2 odd
+        (1201, 2, 300), (1009, 11, 1008),  # t/2 even
+    ])
+    def test_small_orders(self, monkeypatch, p, g, t):
+        order, numpy_s, python_s, oracle = self.routes(monkeypatch, p, g)
+        assert order == t
+        assert numpy_s == python_s == oracle
+
+    def test_last_block_partial_in_both_halves(self, monkeypatch):
+        # t/2 = 50001 powers in two blocks; a block spans whole rows of an
+        # even width (224), so the odd t/2 leaves the last block partial
+        t, numpy_s, python_s, oracle = self.routes(monkeypatch, 100003, 2)
+        assert t > dynamics._CHUNK and t // 2 > dynamics._CHUNK and (t // 2) % 2 == 1
+        assert numpy_s == python_s == oracle
+
+    def test_many_small_blocks(self, monkeypatch):
+        # a 64-element chunk: many blocks, rows of either parity, a partial last row
+        monkeypatch.setattr(dynamics, "_CHUNK", 64)
+        work = dynamics._Workspace()
+        monkeypatch.setattr(dynamics, "_work", lambda: work)
+        for p, g in [(1009, 11), (1009, 3), (2003, 5), (1201, 4), (1201, 2)]:
+            t, numpy_s, python_s, oracle = self.routes(monkeypatch, p, g)
+            assert t > 64
+            assert numpy_s == python_s == oracle, (p, g)
+
+    @pytest.mark.parametrize("t", [2, 4, 3086, 6172])
+    def test_near_the_int64_limit(self, monkeypatch, t):
+        # the largest prime whose products are exact: p**2 just below 2**63,
+        # p just below 2**32, so p - v and the uint32 values are at their edge
+        p = TestSharedReduce.P
+        assert (p - 1) % t == 0 and p > 3 * 10**9
+        g = pow(primitive_root(p), (p - 1) // t, p)
+        order, numpy_s, python_s, oracle = self.routes(monkeypatch, p, g)
+        assert order == t
+        assert numpy_s == python_s == oracle
+
+
 class TestWorkspace:
     # census_table reuses one S buffer across calls; nothing may leak from
     # one map into the next, nor into an array the module hands out
@@ -397,7 +452,8 @@ class TestCensusGraph:
 
     def test_budget_charges_elements_of_the_subgroup(self):
         m = dynamics.ExpMap(1009, 3)  # ord_1009(3) = 168, index 6
-        need = dynamics._GRAPH_BYTES_PER_NODE * multiplicative_order(3, 1009)
+        need = (dynamics._GRAPH_BYTES_PER_NODE * multiplicative_order(3, 1009)
+                + dynamics._work().chunk_bytes())
         with pytest.raises(dynamics.MemoryBudgetError):
             dynamics.census_graph(m, k_max=3, mem_budget=need - 1)
         _, census = dynamics.census_graph(m, k_max=3, mem_budget=need)
