@@ -33,15 +33,22 @@ floor division by the scalar modulus in the dtype of its input (only
 the O(sqrt(t)) row and powers of g**w take numpy's %). The table census
 (_census_from_table) runs the starts _CHUNK at a time, gathering the k
 iterates with np.take into two chunk buffers, so no pass over S
-allocates or streams a t-long temporary. The chunk buffers live in one
-module workspace (_work), made at the first table pass and reused from
-call to call, the only chunk scratch of both table builds: ecdynamics
-builds the curve map's table in it, on the same _CHUNK. census_table
-also builds S there, in a buffer that grows geometrically, so a sweep
-over many (p, g) faults in no new pages once it holds the largest S.
-Above _WORKSPACE_MAX_ELEMENTS a call gets a fresh S instead. The
-workspace makes the module not reentrant: the package runs in parallel
-by processes, never by threads. No array the package returns aliases it.
+allocates or streams a t-long temporary. These gathers, and those of
+decompose_table's peel and ruling set, run in numpy's wrap mode behind
+one range check per table (_check_range; in the peel, np.add.at raises
+on a bad index first). In its default raise mode, np.take with out=
+gathers into a fresh temporary and copies it into out, so that out is
+left untouched if an index is bad: a second chunk-sized temporary per
+gather, beside the intp copy of the indices that every take makes. The
+chunk buffers live in one module workspace (_work), made at the first
+table pass and reused from call to call, the only chunk scratch of both
+table builds: ecdynamics builds the curve map's table in it, on the same
+_CHUNK. census_table also builds S there, in a buffer that grows
+geometrically, so a sweep over many (p, g) faults in no new pages once
+it holds the largest S. Above _WORKSPACE_MAX_ELEMENTS a call gets a
+fresh S instead. The workspace makes the module not reentrant: the
+package runs in parallel by processes, never by threads. No array the
+package returns aliases it.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -127,8 +134,10 @@ class _Workspace:
     _batch_inverse; tree (int64) a curve chunk's product tree. iterates
     (int32) holds two chunks of gathered iterates and the chunk's starts;
     while S is built, and before the census gathers, its first two rows
-    hold a block's powers mod p and their mirror p - v as uint32. ramp
-    holds the offsets 0.._CHUNK-1; equal a chunk's comparison. table
+    hold a block's powers mod p and their mirror p - v as uint32, and in
+    decompose_table's numpy rounds its first row holds a chunk's heads.
+    ramp holds the offsets 0.._CHUNK-1; equal a chunk's comparison, or
+    as uint8 the in-degrees of a chunk's heads in the peel. table
     is census_table's S: it grows geometrically, so a sweep over many
     subgroup sizes faults new pages in only O(log t) times, and never
     past _WORKSPACE_MAX_ELEMENTS. Nothing returned by the module or by
@@ -409,6 +418,18 @@ def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
     return n_least
 
 
+def _check_range(table: np.ndarray) -> None:
+    """Raise IndexError unless every value of table lies in [0, len(table)).
+
+    The one range check of a table that is then gathered in numpy's wrap
+    mode, which would fold a bad value silently: a single max over an
+    unsigned view, in which a negative value reads as one above 2**31.
+    """
+    unsigned = table.view(np.uint32 if table.itemsize == 4 else np.uint64)
+    if len(table) and np.maximum.reduce(unsigned) >= len(table):
+        raise IndexError(f"a table value lies outside [0, {len(table)})")
+
+
 def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus:
     """CycleCensus of u -> table[u] over the starts {start,...,len(table)-1}.
 
@@ -416,13 +437,21 @@ def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus
     prime map (census_table, start 0) and the curve map
     (ecdynamics.ec_census, start 1). The starts go _CHUNK at a time, and
     each chunk's k iterates alternate between two chunk buffers of the
-    workspace (np.take with out=), so the pass allocates nothing.
+    workspace. The gathers run in numpy's wrap mode behind one range check
+    of the table (_check_range), which raises IndexError for any value
+    outside [0, len(table)). In its default raise mode, np.take with out=
+    gathers into a fresh temporary and copies it into out, so that out is
+    left untouched if an index is bad. A gather still converts its index
+    chunk to intp, a temporary of 8 B per start of the chunk; nothing else
+    of a chunk's size is allocated.
     """
     n_div = [0] * (k_max + 1)
     work = _work()
     bufs = work.iterates
     if bufs.dtype != table.dtype:  # int64 indices: N >= 2**31 on a curve
         bufs = np.empty((3, min(len(table), _CHUNK)), dtype=table.dtype)
+    if k_max > 1:
+        _check_range(table)
     for lo in range(start, len(table), _CHUNK):
         n = min(_CHUNK, len(table) - lo)
         base = work.ramp[:n]  # the starts lo..lo+n-1
@@ -432,7 +461,7 @@ def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus
         cur = table[lo : lo + n]  # table[base] without a gather
         for k in range(1, k_max + 1):
             if k > 1:
-                cur = table.take(cur, out=bufs[k % 2, :n])
+                cur = table.take(cur, out=bufs[k % 2, :n], mode="wrap")
             n_div[k] += int(np.count_nonzero(np.equal(cur, base, out=equal)))
     return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
 
@@ -467,14 +496,15 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     curve map's in-degrees are at most 4. A table with a node of 256 or
     more preimages (counts that no longer sum to n) is counted again in
     its own dtype. A round over more than _NARROW leaves runs in numpy,
-    _CHUNK leaves at a time: np.subtract.at takes one from the in-degree
-    of each leaf's head, and the heads it frees are sorted and told apart
-    from their neighbours, so a head that several leaves free enters the
-    next frontier once. A narrower round takes a Python step per leaf on
-    memoryviews of the arrays (as fast to index as lists, with no copy)
-    instead of ~25 us of numpy calls. The cyclic nodes, relabelled 0..c-1
-    by their rank among themselves (np.searchsorted), then go to
-    _cycle_lengths.
+    _CHUNK leaves at a time: the leaves' heads are gathered in wrap mode
+    into the workspace, np.subtract.at takes one from the in-degree of
+    each, and the heads it frees (their in-degrees gathered the same way)
+    are sorted and told apart from their neighbours, so a head that
+    several leaves free enters the next frontier once. A narrower round
+    takes a Python step per leaf on memoryviews of the arrays (as fast to
+    index as lists, with no copy) instead of ~25 us of numpy calls. The
+    cyclic nodes, relabelled 0..c-1 by their rank among themselves
+    (np.searchsorted), then go to _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -494,16 +524,26 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
         if indeg.sum(dtype=np.int64) == n:  # else some count wrapped
             break
     leaves = _zeros_of(indeg, succ.dtype)  # about n/e of them for a random map
+    # A wide round gathers a chunk's heads into a row of the workspace's
+    # iterates and their in-degrees into its equal (as uint8), in wrap mode
+    # with no check of its own: np.add.at above has raised on any value
+    # >= n, and read a value in [-n, 0) as wrap mode does.
+    work = _work()
+    rows = work.iterates
+    if rows.dtype != succ.dtype:  # int64 indices: n > 2**31
+        rows = np.empty((2, _CHUNK), dtype=succ.dtype)
+    counts = work.equal.view(np.uint8) if indeg.dtype == np.uint8 else rows[1]
     max_tail = 0
     while leaves.size > _NARROW:
         max_tail += 1
         freed = 0
         for i in range(0, len(leaves), _CHUNK):
-            heads = succ[leaves[i : i + _CHUNK]]
+            chunk = leaves[i : i + _CHUNK]
+            heads = succ.take(chunk, out=rows[0, : len(chunk)], mode="wrap")
             np.subtract.at(indeg, heads, one)
             # A head freed here has no leaf left in a later chunk, so its
             # repeats all lie in this one.
-            heads = heads[indeg[heads] == 0]
+            heads = heads[indeg.take(heads, out=counts[: len(heads)], mode="wrap") == 0]
             heads.sort()
             keep = np.empty(len(heads), dtype=bool)
             keep[:1] = True
@@ -573,28 +613,13 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
     """
     if len(perm) <= _WALK_LIMIT:
         return _cycle_sums(perm.tolist(), [1] * len(perm))
-    rulers = np.arange(0, len(perm), _RULER_STRIDE)
+    _check_range(perm)
     mark = np.zeros(len(perm), dtype=np.int8)  # 0 unvisited, 1 walked, 2 ruler
-    mark[rulers] = 2
-    gap = np.empty(len(rulers), dtype=np.int64)  # steps to the next ruler
-    nxt = np.empty_like(gap)  # index of the next ruler
-    # intp positions spare every gather a conversion of its index array
-    active, pos = np.arange(len(rulers)), perm[rulers].astype(np.intp)
-    steps = 0
-    while True:
-        steps += 1
-        done = mark[pos] == 2
-        if done.any():
-            nxt[active[done]] = pos[done] // _RULER_STRIDE
-            gap[active[done]] = steps
-            active, pos = active[~done], pos[~done]
-        if active.size <= _RULER_STRIDE:
-            break
-        mark[pos] = 1
-        pos = perm[pos].astype(np.intp)
+    mark[::_RULER_STRIDE] = 2
+    gap, nxt, steps, walkers = _ruler_rounds(perm, mark)
     gap, nxt = gap.tolist(), nxt.tolist()
     step, seen = memoryview(perm), memoryview(mark)
-    for i, u in zip(active.tolist(), pos.tolist()):
+    for i, u in walkers:
         walked = steps
         while seen[u] != 2:
             seen[u] = 1
@@ -604,6 +629,63 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
     rest = _zeros_of(mark, perm.dtype)
     rest_succ = np.searchsorted(rest, perm[rest]).tolist()
     return _cycle_sums(nxt, gap) + _cycle_sums(rest_succ, [1] * len(rest))
+
+
+def _ruler_rounds(
+    perm: np.ndarray, mark: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, list[tuple[int, int]]]:
+    """The lockstep rounds of _cycle_lengths, one walker per ruler (the
+    nodes marked 2), until at most _RULER_STRIDE walkers are out.
+
+    Returns (gap, nxt, steps, walkers): for each finished walker the steps
+    to the next ruler and that ruler's index, the number of rounds run,
+    and the (ruler index, position) of each walker still out. A round
+    gathers the marks at the walkers and their successors in wrap mode
+    (perm is range-checked), into buffers made once, and the walkers still
+    out are compressed to the front of those buffers; all of them are
+    freed on return.
+    """
+    count = -(-len(perm) // _RULER_STRIDE)
+    gap = np.empty(count, dtype=np.int64)  # steps to the next ruler
+    nxt = np.empty_like(gap)  # index of the next ruler
+    # The first `live` entries of ids and pos hold the walkers still out
+    # and where they stand, pos in intp so that no gather converts it.
+    ids, pos = np.arange(count), perm[::_RULER_STRIDE].astype(np.intp)
+    hops = np.empty(count, dtype=perm.dtype)  # a round's successors
+    seen = np.empty(count, dtype=np.int8)  # the marks at the walkers
+    done = np.empty(count, dtype=bool)
+    live, steps = count, 0
+    while True:
+        steps += 1
+        at_ruler = np.equal(mark.take(pos[:live], out=seen[:live], mode="wrap"), 2,
+                            out=done[:live])
+        if at_ruler.any():
+            finished = ids[:live][at_ruler]
+            nxt[finished] = pos[:live][at_ruler] // _RULER_STRIDE
+            gap[finished] = steps
+            live = _compress(np.logical_not(at_ruler, out=at_ruler), ids, pos)
+        if live <= _RULER_STRIDE:
+            return gap, nxt, steps, list(zip(ids[:live].tolist(), pos[:live].tolist()))
+        mark[pos[:live]] = 1
+        pos[:live] = perm.take(pos[:live], out=hops[:live], mode="wrap")
+
+
+def _compress(keep: np.ndarray, *arrays: np.ndarray) -> int:
+    """Move the entries of each array where keep holds to its front, in
+    order, and return their number.
+
+    A _CHUNK at a time, each chunk's copy freed before the next is made:
+    with two alive at once, the heap shrank and grew again in every round
+    of _ruler_rounds (13.8k more minor faults at p = 10000019, g = 6).
+    """
+    live = 0
+    for i in range(0, len(keep), _CHUNK):
+        part = keep[i : i + _CHUNK]
+        n = int(np.count_nonzero(part))
+        for a in arrays:
+            a[live : live + n] = a[i : i + len(part)][part]
+        live += n
+    return live
 
 
 def _graph_summary(cycle_lengths: np.ndarray | list[int], max_tail: int) -> FunctionalGraphSummary:

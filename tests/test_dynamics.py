@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,8 +331,62 @@ class TestWorkspace:
             for arr in arrays + handed_out:
                 for part in arr if isinstance(arr, tuple) else (arr,):
                     if isinstance(part, np.ndarray):
-                        for buf in (work.table, work.block, work.quot, work.tree):
+                        for buf in (work.table, work.block, work.quot, work.tree,
+                                    work.iterates, work.equal):
                             assert not np.shares_memory(part, buf), m
+
+
+class TestRangeCheck:
+    # The census and the ruling set gather in numpy's wrap mode, which folds
+    # a bad index silently, behind one range check of the table; the peel
+    # relies on np.add.at, which raises before its first round.
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("bad", ["len", -1])
+    def test_census_rejects_values_outside_the_table(self, dtype, start, bad):
+        n = 3 * dynamics._CHUNK // 2  # two chunks of starts
+        table = np.random.default_rng(start).integers(0, n, n).astype(dtype)
+        table[n - 5] = n if bad == "len" else bad
+        with pytest.raises(IndexError):
+            dynamics._census_from_table(table, 3, start)
+
+    def test_census_accepts_the_largest_value(self):
+        table = np.array([2, 0, 1, 2], dtype=np.int32)
+        assert dynamics._census_from_table(table, 3, 0).n_dividing == (0, 0, 0, 3)
+
+    @pytest.mark.parametrize("n", [5, 2000])
+    @pytest.mark.parametrize("bad", ["len", -(10**6)])
+    def test_peel_rejects_values_outside_the_table(self, n, bad):
+        # 2000 random nodes start with more than _NARROW leaves: numpy rounds
+        table = np.random.default_rng(n).integers(0, n, n)
+        table[1] = n if bad == "len" else bad
+        with pytest.raises(IndexError):
+            dynamics.decompose_table(table, 0)
+
+    @pytest.mark.parametrize("bad", ["len", -1])
+    def test_ruling_set_rejects_values_outside_the_table(self, bad):
+        n = 4 * dynamics._WALK_LIMIT
+        perm = np.random.default_rng(9).permutation(n).astype(np.int32)
+        perm[n // 2] = n if bad == "len" else bad
+        with pytest.raises(IndexError):
+            dynamics._cycle_lengths(perm)
+
+    def test_census_allocates_only_the_index_conversion(self):
+        # np.take converts each chunk of int32 indices to intp, 8 B per
+        # start; raise mode with out= would also gather into a copy of out
+        # (393,952 B traced here)
+        n = 4 * dynamics._CHUNK
+        table = np.random.default_rng(4).integers(0, n, n).astype(np.int32)
+        dynamics._work()  # made once per process, not by the pass
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dynamics._census_from_table(table, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * dynamics._CHUNK + 4096
 
 
 class TestCensusRoutes:
@@ -616,6 +671,19 @@ class TestDecomposeTable:
 
     def test_long_chain_into_a_large_cycle(self):
         self.check(self.comb(self.RULED + 10, [2000]))
+
+    def test_ruling_set_compresses_over_several_chunks(self, monkeypatch):
+        # the walkers still out are moved to the front a _CHUNK at a time
+        dynamics._work()  # the workspace keeps the default chunk
+        monkeypatch.setattr(dynamics, "_CHUNK", 16)
+        n = self.RULED
+        assert n // dynamics._RULER_STRIDE > 4 * dynamics._CHUNK
+        rng = np.random.default_rng(12)
+        self.check(rng.permutation(n))
+        order = rng.permutation(n)  # one giant cycle
+        giant = np.empty(n, dtype=np.int64)
+        giant[order] = np.roll(order, -1)
+        self.check(giant)
 
     @pytest.mark.parametrize("chunk", [dynamics._CHUNK, 64])
     def test_fan_in_over_several_numpy_rounds(self, monkeypatch, chunk):
