@@ -22,15 +22,14 @@ budget charges 8 bytes per element of <g>.
 _subgroup_map is the one builder of S. It takes the powers g**e mod p
 in blocks of _CHUNK elements, each the product of a row of small powers
 and one power of g**w (w about sqrt(t)); the row and the powers of g**w
-come from the same broadcast step once more, so a map costs
-O(t**(1/4)) Python products. When t is even, g**(t/2) is the one
-element of order 2, -1, so g**(e + t/2) mod p = p - (g**e mod p): only
+are each about sqrt(t) Python products. When t is even, g**(t/2) is the
+one element of order 2, -1, so g**(e + t/2) mod p = p - (g**e mod p): only
 the powers e < t/2 are taken, and each block fills S[lo:hi] and
 S[t/2+lo : t/2+hi]. Every block is reduced mod p in uint64 (products lie
 in [0, p**2), p < 2**32) into uint32 values, then mod t in uint32
 straight into the int32 S. Every reduction of a chunk is _reduce, a
-floor division by the scalar modulus in the dtype of its input (only
-the O(sqrt(t)) row and powers of g**w take numpy's %). The table census
+floor division by the scalar modulus in the dtype of its input (the
+row and the powers of g**w are reduced in Python). The table census
 (_census_from_table) runs the starts _CHUNK at a time, gathering the k
 iterates with np.take into two chunk buffers, so no pass over S
 allocates or streams a t-long temporary. These gathers, and those of
@@ -343,44 +342,28 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
     np.subtract(a, q, out=a if out is None else out, casting="unsafe")
 
 
-def _scalar_powers(bases: list[int], count: int, p: int) -> np.ndarray:
-    """[b**0, ..., b**(v*v-1)] mod p for each b in bases, with v*v >= count,
-    one uint64 row each, by the broadcast step of _pow_blocks once more:
-    with v about sqrt(count), b**(i*v + j) is (b**v)**i * b**j. A base
-    costs 2v Python products, and all share one multiply and one
-    reduction."""
-    v = math.isqrt(max(count - 1, 0)) + 1
-    lows, highs = [], []
-    for b in bases:
-        for powers in (lows, highs):  # the powers of b, then of b**v
-            x = 1
-            for _ in range(v):
-                powers.append(x)
-                x = x * b % p
-            b = x
-    factors = np.array(lows + highs, dtype=np.uint64).reshape(2, len(bases), v)
-    table = factors[1, :, :, None] * factors[0, :, None]
-    table %= p
-    return table.reshape(len(bases), -1)
-
-
 def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, block) where block mod p is [base**lo, base**(lo+1), ...]
     in consecutive blocks of at most _CHUNK covering 0..count-1. A block
     holds uint64 products in [0, p**2), unreduced: each caller reduces it
     mod p (unsigned, see _reduce) into the buffer it fills.
 
-    Two levels: with w about sqrt(count), base**(i*w + j) is lead[i] *
-    row[j], where row holds base**0..base**(w-1) and lead the powers of
-    base**w. _scalar_powers builds both by the same step once more, in
-    O(count**(1/4)) Python products. A block is whole rows and one
-    broadcast multiply, in a uint64 view of the workspace's block, which
-    the next block overwrites.
+    One level: with w about sqrt(count) (at most _CHUNK), base**(i*w + j)
+    is lead[i] * row[j], where row holds base**0..base**(w-1) and lead the
+    powers of base**w: w and about count/w Python products, each about
+    sqrt(count) below the cap, then one uint64 array each. A block is
+    whole rows and one broadcast multiply, in a uint64 view of the
+    workspace's block, which the next block overwrites.
     """
     base %= p
     width = min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK)
-    powers = _scalar_powers([base, pow(base, width, p)], max(width, -(-count // width)), p)
-    row, lead = powers[0, :width], powers[1]
+    row, lead = [1] * width, [1] * -(-count // width)
+    step = pow(base, width, p)
+    for i in range(1, width):
+        row[i] = row[i - 1] * base % p
+    for i in range(1, len(lead)):
+        lead[i] = lead[i - 1] * step % p
+    row, lead = np.array(row, dtype=np.uint64), np.array(lead, dtype=np.uint64)
     span = _CHUNK // width * width
     block = _work().block.view(np.uint64)
     for lo in range(0, count, span):

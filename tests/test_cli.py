@@ -266,32 +266,65 @@ class TestInternalFailure:
 
         monkeypatch.setattr(bounds, "verify", failing_verify)
 
+    # A pool worker inherits a patch made in the test process only under
+    # fork. Under forkserver (Python 3.14's default) and spawn it re-imports
+    # the main script as __mp_main__, so these tests run a script that
+    # patches bounds.verify at module level, under each start method.
+    START_METHODS = ("fork", "forkserver")
+    SCRIPT = """
+import multiprocessing, os, signal, sys, time
+from expcycles import bounds, cli
+
+verify = bounds.verify
+
+def patched_verify(m, census=None):
+{hook}
+    return verify(m, census)
+
+bounds.verify = patched_verify
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    sys.exit(cli.main({argv!r}))
+"""
+
+    @classmethod
+    def run_script(cls, tmp_path, method, hook, *argv):
+        script = tmp_path / f"run_{method}.py"
+        script.write_text(cls.SCRIPT.format(hook=hook, method=method, argv=list(argv)))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        return done.returncode, done.stdout, done.stderr
+
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_rows_before_failure_kept(self, capsys, fail_at_17, workers):
-        code, out, err = run_cli(capsys, *self.ARGS, "--workers", workers)
-        assert code == 3
-        assert [(r["p"], r["g"]) for r in json_rows(out)] == [(11, 2), (13, 2)]
-        assert err.startswith("internal error:")
-        assert "boom at p=17" in err
+    def test_rows_before_failure_kept(self, tmp_path, workers):
+        hook = """\
+    if m.p == 17:
+        raise RuntimeError("boom at p=17")"""
+        for method in self.START_METHODS:
+            code, out, err = self.run_script(tmp_path, method, hook, *self.ARGS,
+                                             "--workers", workers)
+            assert code == 3, method
+            assert [(r["p"], r["g"]) for r in json_rows(out)] == [(11, 2), (13, 2)], method
+            assert err.startswith("internal error:"), method
+            assert "boom at p=17" in err, method
 
     @pytest.mark.parametrize("workers, kept", [
         ("1", [(11, 2), (11, 3), (13, 2), (13, 3), (17, 2)]),  # row by row in process
         ("2", [(11, 2), (11, 3), (13, 2), (13, 3)]),  # a pool task is one prime
     ], ids=["1", "2"])
-    def test_rows_before_failure_within_a_prime(self, capsys, monkeypatch, workers, kept):
-        verify = bounds.verify
-
-        def failing_verify(m, census=None):
-            if (m.p, m.g) == (17, 3):
-                raise RuntimeError("boom at (17, 3)")
-            return verify(m, census)
-
-        monkeypatch.setattr(bounds, "verify", failing_verify)
-        code, out, err = run_cli(capsys, "verify-bounds", "--pmin", "11", "--pmax", "19",
-                                 "--g-list", "2,3", "--workers", workers)
-        assert code == 3
-        assert [(r["p"], r["g"]) for r in json_rows(out)] == kept
-        assert err.startswith("internal error:")
+    def test_rows_before_failure_within_a_prime(self, tmp_path, workers, kept):
+        hook = """\
+    if (m.p, m.g) == (17, 3):
+        raise RuntimeError("boom at (17, 3)")"""
+        for method in self.START_METHODS:
+            code, out, err = self.run_script(tmp_path, method, hook, "verify-bounds",
+                                             "--pmin", "11", "--pmax", "19", "--g-list", "2,3",
+                                             "--workers", workers)
+            assert code == 3, method
+            assert [(r["p"], r["g"]) for r in json_rows(out)] == kept, method
+            assert err.startswith("internal error:"), method
 
     def test_rows_before_failure_kept_in_out_file(self, capsys, tmp_path, fail_at_17):
         target = tmp_path / "report.csv"
@@ -309,38 +342,27 @@ class TestInternalFailure:
         assert [r["flags"]["thm1"] for r in json_rows(out)] == [False, False]
         assert err.startswith("internal error:")
 
-    # A worker SIGKILLs itself at p = 37 (only in a worker: the kill is
-    # guarded by the CLI's pid), once the other worker has reached p = 41,
-    # so every task before 37 is done.
-    DYING_WORKER = """
-import os, signal, sys, time
-from expcycles import bounds, cli
-
-parent, verify = os.getpid(), bounds.verify
-
-def dying_verify(m, census=None):
+    # A worker SIGKILLs itself at p = 37 (only in a worker: a re-imported
+    # script runs in every process, so it asks for its parent process), once
+    # the other worker has reached p = 41, so every task before 37 is done.
+    DYING_WORKER = """\
     if m.p == 41:
         open({marker!r}, "w").close()
-    if m.p == 37 and os.getpid() != parent:
+    if m.p == 37 and multiprocessing.parent_process() is not None:
         while not os.path.exists({marker!r}):
             time.sleep(0.01)
-        os.kill(os.getpid(), signal.SIGKILL)
-    return verify(m, census)
-
-bounds.verify = dying_verify
-sys.exit(cli.main(["verify-bounds", "--pmin", "11", "--pmax", "97", "--g-list", "2",
-                   "--workers", "2"]))
-"""
+        os.kill(os.getpid(), signal.SIGKILL)"""
 
     def test_dead_worker_exits_3(self, tmp_path):
         # as when the OOM killer ends a worker: no hang, the rows before it stay
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", self.DYING_WORKER.format(marker=str(tmp_path / "at41"))],
-            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 3
-        assert [r["p"] for r in json_rows(done.stdout)] == [11, 13, 17, 19, 23, 29, 31]
-        assert done.stderr.startswith("internal error:")
+        for method in self.START_METHODS:
+            hook = self.DYING_WORKER.format(marker=str(tmp_path / f"at41_{method}"))
+            code, out, err = self.run_script(tmp_path, method, hook, "verify-bounds",
+                                             "--pmin", "11", "--pmax", "97", "--g-list", "2",
+                                             "--workers", "2")
+            assert code == 3, method
+            assert [r["p"] for r in json_rows(out)] == [11, 13, 17, 19, 23, 29, 31], method
+            assert err.startswith("internal error:"), method
 
     def test_single_row_command_failure_exits_3(self, capsys, monkeypatch):
         def failing_census_graph(*args, **kwargs):

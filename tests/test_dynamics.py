@@ -215,11 +215,12 @@ class TestMirroredSubgroupMap:
         assert numpy_s == python_s == oracle
 
     def test_many_small_blocks(self, monkeypatch):
-        # a 64-element chunk: many blocks, rows of either parity, a partial last row
+        # a 64-element chunk: many blocks, rows of either parity, a partial last
+        # row; at p = 40009, t/2 = 20004 > 64**2 caps the row width at the chunk
         monkeypatch.setattr(dynamics, "_CHUNK", 64)
         work = dynamics._Workspace()
         monkeypatch.setattr(dynamics, "_work", lambda: work)
-        for p, g in [(1009, 11), (1009, 3), (2003, 5), (1201, 4), (1201, 2)]:
+        for p, g in [(1009, 11), (1009, 3), (2003, 5), (1201, 4), (1201, 2), (40009, 11)]:
             t, numpy_s, python_s, oracle = self.routes(monkeypatch, p, g)
             assert t > 64
             assert numpy_s == python_s == oracle, (p, g)
