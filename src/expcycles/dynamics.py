@@ -26,8 +26,8 @@ are each about sqrt(t) Python products. When t is even, g**(t/2) is the
 one element of order 2, -1, so g**(e + t/2) mod p = p - (g**e mod p): only
 the powers e < t/2 are taken, and each block fills S[lo:hi] and
 S[t/2+lo : t/2+hi]. Every block is reduced mod p in uint64 (products lie
-in [0, p**2), p < 2**32) into uint32 values, then mod t in uint32
-straight into the int32 S. Every reduction of a chunk is _reduce, a
+in [0, p**2), p < 2**32) into an unsigned view of S, then mod t in place
+(uint32 for the int32 S). Every reduction of a chunk is _reduce, a
 floor division by the scalar modulus in the dtype of its input (the
 row and the powers of g**w are reduced in Python). The table census
 (_census_from_table) runs the starts _CHUNK at a time, gathering the k
@@ -39,15 +39,15 @@ on a bad index first). In its default raise mode, np.take with out=
 gathers into a fresh temporary and copies it into out, so that out is
 left untouched if an index is bad: a second chunk-sized temporary per
 gather, beside the intp copy of the indices that every take makes. The
-chunk buffers live in one module workspace (_work), made at the first
-table pass and reused from call to call, the only chunk scratch of both
-table builds: ecdynamics builds the curve map's table in it, on the same
-_CHUNK. census_table also builds S there, in a buffer that grows
-geometrically, so a sweep over many (p, g) faults in no new pages once
-it holds the largest S. Above _WORKSPACE_MAX_ELEMENTS a call gets a
-fresh S instead. The workspace makes the module not reentrant: the
-package runs in parallel by processes, never by threads. No array the
-package returns aliases it.
+chunk buffers of the census and both table builds live in one module
+workspace (_work), one role each, made at the first table pass and
+reused from call to call: ecdynamics builds the curve map's table in it,
+on the same _CHUNK. The graph pass uses none of them. census_table also
+builds S there, in a buffer that grows geometrically, so a sweep over
+many (p, g) faults in no new pages once it holds the largest S. Above
+_WORKSPACE_MAX_ELEMENTS a call gets a fresh S instead. The workspace
+makes the module not reentrant: the package runs in parallel by
+processes, never by threads. No array the package returns aliases it.
 
 The table census is shared with the elliptic-curve analogue: any map
 given as a value table on {0,...,n-1} is censused by _census_from_table
@@ -124,23 +124,21 @@ _CENSUS_BYTES_PER_NODE = 5
 
 
 class _Workspace:
-    """The chunk buffers of both table builds, reused from call to call.
+    """The chunk buffers of the table census and both table builds, reused
+    from call to call, one role each.
 
-    block (int64) holds a block of powers, as uint64 products below p**2,
-    or the slope numerators of a curve chunk (ecdynamics._add_block);
-    quot (int64) the quotients of every _reduce, viewed in the dtype of
-    its input, one more than a chunk for the padded level of
-    _batch_inverse; tree (int64) a curve chunk's product tree. iterates
-    (int32) holds two chunks of gathered iterates and the chunk's starts;
-    while S is built, and before the census gathers, its first two rows
-    hold a block's powers mod p and their mirror p - v as uint32, and in
-    decompose_table's numpy rounds its first row holds a chunk's heads.
-    ramp holds the offsets 0.._CHUNK-1; equal a chunk's comparison, or
-    as uint8 the in-degrees of a chunk's heads in the peel. table
-    is census_table's S: it grows geometrically, so a sweep over many
+    block (int64): a chunk's products, as uint64 below p**2 (_pow_blocks),
+    or a curve chunk's slope numerators (ecdynamics._add_block).
+    quot (int64): the quotients of _reduce, viewed in the dtype of its
+    input; one more than a chunk, for a padded level of _batch_inverse.
+    tree (int64): a curve chunk's product tree (ecdynamics._batch_inverse).
+    iterates (int32), ramp and equal: the table census's two chunks of
+    gathered iterates and its starts, the offsets 0.._CHUNK-1, and a
+    chunk's comparison.
+    table: census_table's S. It grows geometrically, so a sweep over many
     subgroup sizes faults new pages in only O(log t) times, and never
-    past _WORKSPACE_MAX_ELEMENTS. Nothing returned by the module or by
-    ecdynamics aliases these buffers.
+    past _WORKSPACE_MAX_ELEMENTS.
+    Nothing returned by the module or by ecdynamics aliases these buffers.
     """
 
     def __init__(self) -> None:
@@ -327,14 +325,14 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
     """out = a mod m (out defaults to a), for a of at most _CHUNK + 1
-    elements (2 * _CHUNK + 2 in uint32): int64 a in (-m, m**2), or
-    unsigned a of any value. The quotients a // m go in a view of the
-    workspace's quot in a's dtype. numpy divides by a scalar through
-    libdivide: with the multiply and subtract, about half the time of
-    np.remainder (2.0 against 4.1 ns per element at 2**16 elements in
-    int64), and the division itself is faster unsigned (per element 0.82
-    ns in int64, 0.49 in uint64, 0.16 in uint32). An out of another
-    dtype takes the result unchecked (casting="unsafe").
+    elements, or 2 * _CHUNK + 2 in uint32 (both halves of a block of S):
+    int64 a in (-m, m**2), or unsigned a of any value. The quotients go
+    in a view of the workspace's quot in a's dtype. numpy divides by a
+    scalar through libdivide: with the multiply and subtract, about half
+    the time of np.remainder (2.0 against 4.1 ns per element at 2**16
+    elements in int64), and the division itself is faster unsigned (per
+    element 0.82 ns in int64, 0.49 in uint64, 0.16 in uint32). An out of
+    another dtype takes the result unchecked (casting="unsafe").
     """
     q = np.ndarray(a.shape, a.dtype, _work().quot)
     np.floor_divide(a, m, out=q)
@@ -480,7 +478,7 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     more preimages (counts that no longer sum to n) is counted again in
     its own dtype. A round over more than _NARROW leaves runs in numpy,
     _CHUNK leaves at a time: the leaves' heads are gathered in wrap mode
-    into the workspace, np.subtract.at takes one from the in-degree of
+    into a fresh array, np.subtract.at takes one from the in-degree of
     each, and the heads it frees (their in-degrees gathered the same way)
     are sorted and told apart from their neighbours, so a head that
     several leaves free enters the next frontier once. A narrower round
@@ -507,26 +505,19 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
         if indeg.sum(dtype=np.int64) == n:  # else some count wrapped
             break
     leaves = _zeros_of(indeg, succ.dtype)  # about n/e of them for a random map
-    # A wide round gathers a chunk's heads into a row of the workspace's
-    # iterates and their in-degrees into its equal (as uint8), in wrap mode
-    # with no check of its own: np.add.at above has raised on any value
-    # >= n, and read a value in [-n, 0) as wrap mode does.
-    work = _work()
-    rows = work.iterates
-    if rows.dtype != succ.dtype:  # int64 indices: n > 2**31
-        rows = np.empty((2, _CHUNK), dtype=succ.dtype)
-    counts = work.equal.view(np.uint8) if indeg.dtype == np.uint8 else rows[1]
+    # A wide round gathers in wrap mode with no check of its own: np.add.at
+    # above has raised on any value >= n, and read a value in [-n, 0) as
+    # wrap mode does.
     max_tail = 0
     while leaves.size > _NARROW:
         max_tail += 1
         freed = 0
         for i in range(0, len(leaves), _CHUNK):
-            chunk = leaves[i : i + _CHUNK]
-            heads = succ.take(chunk, out=rows[0, : len(chunk)], mode="wrap")
+            heads = succ.take(leaves[i : i + _CHUNK], mode="wrap")
             np.subtract.at(indeg, heads, one)
             # A head freed here has no leaf left in a later chunk, so its
             # repeats all lie in this one.
-            heads = heads[indeg.take(heads, out=counts[: len(heads)], mode="wrap") == 0]
+            heads = heads[indeg.take(heads, mode="wrap") == 0]
             heads.sort()
             keep = np.empty(len(heads), dtype=bool)
             keep[:1] = True
@@ -624,51 +615,29 @@ def _ruler_rounds(
     to the next ruler and that ruler's index, the number of rounds run,
     and the (ruler index, position) of each walker still out. A round
     gathers the marks at the walkers and their successors in wrap mode
-    (perm is range-checked), into buffers made once, and the walkers still
-    out are compressed to the front of those buffers; all of them are
-    freed on return.
+    (perm is range-checked), and the walkers that reached a ruler are
+    dropped by boolean indexing.
     """
     count = -(-len(perm) // _RULER_STRIDE)
     gap = np.empty(count, dtype=np.int64)  # steps to the next ruler
     nxt = np.empty_like(gap)  # index of the next ruler
-    # The first `live` entries of ids and pos hold the walkers still out
-    # and where they stand, pos in intp so that no gather converts it.
+    # The walkers still out and where they stand, pos in intp so that no
+    # gather converts it.
     ids, pos = np.arange(count), perm[::_RULER_STRIDE].astype(np.intp)
-    hops = np.empty(count, dtype=perm.dtype)  # a round's successors
-    seen = np.empty(count, dtype=np.int8)  # the marks at the walkers
-    done = np.empty(count, dtype=bool)
-    live, steps = count, 0
+    steps = 0
     while True:
         steps += 1
-        at_ruler = np.equal(mark.take(pos[:live], out=seen[:live], mode="wrap"), 2,
-                            out=done[:live])
+        at_ruler = mark.take(pos, mode="wrap") == 2
         if at_ruler.any():
-            finished = ids[:live][at_ruler]
-            nxt[finished] = pos[:live][at_ruler] // _RULER_STRIDE
+            finished = ids[at_ruler]
+            nxt[finished] = pos[at_ruler] // _RULER_STRIDE
             gap[finished] = steps
-            live = _compress(np.logical_not(at_ruler, out=at_ruler), ids, pos)
-        if live <= _RULER_STRIDE:
-            return gap, nxt, steps, list(zip(ids[:live].tolist(), pos[:live].tolist()))
-        mark[pos[:live]] = 1
-        pos[:live] = perm.take(pos[:live], out=hops[:live], mode="wrap")
-
-
-def _compress(keep: np.ndarray, *arrays: np.ndarray) -> int:
-    """Move the entries of each array where keep holds to its front, in
-    order, and return their number.
-
-    A _CHUNK at a time, each chunk's copy freed before the next is made:
-    with two alive at once, the heap shrank and grew again in every round
-    of _ruler_rounds (13.8k more minor faults at p = 10000019, g = 6).
-    """
-    live = 0
-    for i in range(0, len(keep), _CHUNK):
-        part = keep[i : i + _CHUNK]
-        n = int(np.count_nonzero(part))
-        for a in arrays:
-            a[live : live + n] = a[i : i + len(part)][part]
-        live += n
-    return live
+            keep = ~at_ruler
+            ids, pos = ids[keep], pos[keep]
+        if len(ids) <= _RULER_STRIDE:
+            return gap, nxt, steps, list(zip(ids.tolist(), pos.tolist()))
+        mark[pos] = 1
+        pos[:] = perm.take(pos, mode="wrap")
 
 
 def _graph_summary(cycle_lengths: np.ndarray | list[int], max_tail: int) -> FunctionalGraphSummary:
@@ -714,12 +683,12 @@ def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarra
 
     e -> g**e mod p carries S onto the map restricted to <g>: the map
     sends g**e to g**(g**e mod p), which is g**S[e] because g**t == 1.
-    S is written into out (t long, int32) if given, else a fresh array.
-    For even t, g**(t/2) = -1, so S[t/2 + e] = (p - (g**e mod p)) mod t
-    and only the powers e < t/2 are taken, in numpy and in Python alike.
-    Each block of powers is reduced mod p into uint32 values v in a view
-    of the workspace's iterates, beside them goes p - v, and both are
-    reduced mod t straight into the two halves of S.
+    S is written into out (t long; int32, int64 for t > 2**31) if given,
+    else a fresh array. For even t, g**(t/2) = -1, so S[t/2 + e] =
+    (p - (g**e mod p)) mod t and only the powers e < t/2 are taken, in
+    numpy and in Python alike. In numpy a block's powers v (v < p < 2**32)
+    and p - v go into the two halves of an unsigned view of S, and are
+    reduced mod t there (in uint64 a half at a time).
     """
     p, g = m.p, m.g
     if out is None:
@@ -727,15 +696,14 @@ def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarra
     halves = 2 - t % 2
     half = t // halves
     if p <= _NUMPY_MOD_LIMIT:
-        dest = out.reshape(halves, half)
-        iterates = _work().iterates  # free until the census gathers
+        dest = out.view(f"u{out.itemsize}").reshape(halves, half)
         for lo, block in _pow_blocks(g, half, p):
-            n = len(block)
-            v = np.ndarray((halves, n), np.uint32, iterates)
+            v = dest[:, lo : lo + len(block)]
             _reduce(block, p, v[0])  # p < 2**32
             if halves == 2:
                 np.subtract(p, v[0], out=v[1])
-            _reduce(v, t, dest[:, lo : lo + n])
+            for rows in (v,) if v.itemsize == 4 else v:  # quot holds one uint64 row
+                _reduce(rows, t)
         return out
     values = [0] * t
     v = 1

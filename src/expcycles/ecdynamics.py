@@ -20,9 +20,9 @@ the point O: the points 0..f-1 plus fG give the points f..2f-1, by
 affine addition on int64 coordinate arrays where x = p stands for the
 point at infinity, _CHUNK lanes at a time. Each chunk's slope
 denominators are inverted by one product tree, _batch_inverse: about 3
-modular multiplies per element plus one scalar inverse. The chunk
-buffers (numerators, the tree, the quotients of _reduce) are the prime
-map's, in the one workspace of dynamics, and every reduction mod p is
+modular multiplies per element plus one scalar inverse. The numerators,
+the tree and the quotients of _reduce are three buffers of the one
+workspace of dynamics, one role each, and every reduction mod p is
 dynamics._reduce, the floor division by a scalar of both table builds.
 _x_half refuses p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT,
 where its products would overflow silently. point_add and scalar_mul stay the
@@ -252,7 +252,8 @@ def _batch_inverse(tree: np.ndarray, n: int, p: int) -> None:
     tree[n:] (the whole tree takes at most 2n + 2 ceil(log2 n) + 1
     entries, as the workspace's tree holds): pairs are multiplied up to
     one root (odd levels padded with 1), the root is inverted once, and
-    each child's inverse is its parent's inverse times its sibling.
+    each child's inverse is its parent's inverse times its sibling (the
+    left children's into a fresh array).
     """
     levels = []
     lo, size = 0, n
@@ -269,8 +270,7 @@ def _batch_inverse(tree: np.ndarray, n: int, p: int) -> None:
     for lo, size in reversed(levels):
         level = tree[lo : lo + size]
         parent = tree[lo + size : lo + size + size // 2]
-        left = _work().quot[: size // 2]  # _reduce's scratch, free until the _reduce below
-        np.multiply(parent, level[1::2], out=left)
+        left = np.multiply(parent, level[1::2])
         np.multiply(parent, level[0::2], out=level[1::2])
         level[0::2] = left
         _reduce(level, p)

@@ -236,6 +236,16 @@ class TestMirroredSubgroupMap:
         assert order == t
         assert numpy_s == python_s == oracle
 
+    @pytest.mark.parametrize("p, g", [(23, 2), (100003, 2)])
+    def test_int64_s(self, monkeypatch, p, g):
+        # S is int64 for t > 2**31 and reduced mod t in a uint64 view, whose
+        # two halves of a block do not fit quot at once; an int64 out takes
+        # that route at small t: odd t at p = 23, and at p = 100003 two
+        # mirrored blocks of more than half a chunk each
+        t, _, _, oracle = self.routes(monkeypatch, p, g)
+        out = np.empty(t, dtype=np.int64)
+        assert dynamics._subgroup_map(dynamics.ExpMap(p, g), t, out).tolist() == oracle
+
 
 class TestWorkspace:
     # census_table reuses one S buffer across calls; nothing may leak from
@@ -283,6 +293,30 @@ class TestWorkspace:
                         v = succ[v]
                     hits += v == u
                 assert census.n_dividing[k] == hits, (n, start, k)
+
+    def test_graph_pass_and_s_build_leave_other_buffers_alone(self, monkeypatch):
+        # Each workspace buffer has one owner: the peel and the ruling set use
+        # arrays of their own, and S's residues go straight into S, so the
+        # census's buffers and the curve tree keep what they hold.
+        work = dynamics._Workspace()
+        monkeypatch.setattr(dynamics, "_work", lambda: work)
+        owned = {name: getattr(work, name) for name in ("iterates", "equal", "ramp", "tree")}
+        for buf in owned.values():
+            buf[...] = -7
+        before = {name: buf.copy() for name, buf in owned.items()}
+        rng = np.random.default_rng(28)
+        n = 2000  # a random map: about n/e leaves, so the first rounds run in numpy
+        table = rng.integers(0, n, n).astype(np.int32)
+        assert np.count_nonzero(np.bincount(table, minlength=n) == 0) > dynamics._NARROW
+        dynamics.decompose_table(table, 0)
+        perm = rng.permutation(4 * dynamics._WALK_LIMIT).astype(np.int32)  # the ruling set
+        dynamics._cycle_lengths(perm)
+        m = dynamics.ExpMap(100003, 2)  # t = 100002: two mirrored blocks
+        t = multiplicative_order(m.g, m.p)
+        dynamics._subgroup_map(m, t)
+        dynamics._subgroup_map(m, t, np.empty(t, dtype=np.int32))
+        for name, buf in owned.items():
+            assert np.array_equal(buf, before[name]), name
 
     def test_python_branch_in_sequence(self, monkeypatch):
         maps = [m for m in self._maps() if m.p < 5000]
@@ -674,7 +708,9 @@ class TestDecomposeTable:
         self.check(self.comb(self.RULED + 10, [2000]))
 
     def test_ruling_set_compresses_over_several_chunks(self, monkeypatch):
-        # the walkers still out are moved to the front a _CHUNK at a time
+        # more walkers than four chunks, and a ruler-free remainder gathered
+        # (_zeros_of) over many chunks: the cycle lengths must not depend on
+        # the chunk size
         dynamics._work()  # the workspace keeps the default chunk
         monkeypatch.setattr(dynamics, "_CHUNK", 16)
         n = self.RULED
