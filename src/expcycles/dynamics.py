@@ -1,62 +1,24 @@
-"""The repeated-exponentiation dynamical system u -> g**u mod p.
+"""The repeated-exponentiation map u -> g**u mod p on {1,...,p-1}.
 
-The map acts on {1,...,p-1}. Three independent routes to the short-cycle
-census are provided: definitional brute force (census_naive), k-fold
-composition of a value table (census_table), and a full functional-graph
-decomposition (census_graph). They must agree; the test suite holds them
-to that.
+Three census routes, which the tests hold to agreement: census_naive
+iterates the definition, census_table composes a value table k times
+(_census_from_table, which ecdynamics shares), and census_graph
+decomposes the functional graph (decompose_table, _cycle_lengths).
+fixed_points and fixed_point_counts_all_bases give N(1) directly.
 
-Neither fast route builds a table of size p. All cycles lie in the
-image subgroup <g> of order t = ord_p(g), where the map is conjugate to
-S(e) = (g**e mod p) mod t on {0,...,t-1}; points outside <g> only add
-one tail step. census_table and fixed_points scan S; decompose_table
-finds the cyclic nodes and the longest tail of S by peeling leaves, in
-numpy while the frontier is wide and in Python once it is narrow, with
-one uint8 array of in-degrees beside S (a node of S has at most (p-1)/t
-preimages), and the cycle lengths by a Python walk or, on a larger
-cyclic set, a sparse ruling set. It returns (cycle_lengths, max_tail).
-When g is a primitive root, S is a permutation with nothing to peel,
-and census_graph hands it straight to the cycle finder. The graph
-budget charges 8 bytes per element of <g>.
-
-_subgroup_map is the one builder of S. It takes the powers g**e mod p
-in blocks of _CHUNK elements, each the product of a row of small powers
-and one power of g**w (w about sqrt(t)); the row and the powers of g**w
-are each about sqrt(t) Python products. When t is even, g**(t/2) is the
-one element of order 2, -1, so g**(e + t/2) mod p = p - (g**e mod p): only
-the powers e < t/2 are taken, and each block fills S[lo:hi] and
-S[t/2+lo : t/2+hi]. Every block is reduced mod p in uint64 (products lie
-in [0, p**2), p < 2**32) into an unsigned view of S, then mod t in place
-(uint32 for the int32 S). Every reduction of a chunk is _reduce, a
-floor division by the scalar modulus in the dtype of its input (the
-row and the powers of g**w are reduced in Python). The table census
-(_census_from_table) runs the starts _CHUNK at a time, gathering the k
-iterates with np.take into two chunk buffers, so no pass over S
-allocates or streams a t-long temporary. These gathers, and those of
-decompose_table's peel and ruling set, run in numpy's wrap mode behind
-one range check per table (_check_range; in the peel, np.add.at raises
-on a bad index first). In its default raise mode, np.take with out=
-gathers into a fresh temporary and copies it into out, so that out is
-left untouched if an index is bad: a second chunk-sized temporary per
-gather, beside the intp copy of the indices that every take makes. The
-chunk buffers of the census and both table builds live in one module
-workspace (_work), one role each, made at the first table pass and
-reused from call to call: ecdynamics builds the curve map's table in it,
-on the same _CHUNK. The graph pass uses none of them. census_table also
-builds S there, in a buffer that grows geometrically, so a sweep over
-many (p, g) faults in no new pages once it holds the largest S. Above
-_WORKSPACE_MAX_ELEMENTS a call gets a fresh S instead. The workspace
-makes the module not reentrant: the package runs in parallel by
-processes, never by threads. No array the package returns aliases it.
-
-The table census is shared with the elliptic-curve analogue: any map
-given as a value table on {0,...,n-1} is censused by _census_from_table
-from a given first start (0 for S, 1 for the curve map). Only the passes
-over all of {0,...,p-1} (the all-bases fixed-point count and the
-3-periodic sets of lemmas) refuse p above _NUMPY_MOD_LIMIT (about
-3.04e9, where int64 products stop being exact and a table of size p
-would exceed 24 GB); above it _subgroup_map runs in Python, so every
-census route and fixed_points still run.
+The fast routes rest on these reductions, each stated in the function
+that enforces it:
+- every cycle lies in <g>, of order t = ord_p(g), where the map is
+  conjugate to S(e) = (g**e mod p) mod t on {0,...,t-1}, so no table of
+  size p is built (_subgroup_map); a point outside <g> adds one tail
+  step (census_graph);
+- for even t, g**(t/2) = -1 halves the powers that S takes (_subgroup_map);
+- up to _NUMPY_MOD_LIMIT, products lie below p**2 < 2**64 and are
+  reduced in numpy (_pow_blocks, _reduce); above it S is built in Python;
+- a table is range-checked once, then gathered in numpy's wrap mode
+  (_check_range);
+- one workspace holds the chunk scratch of the table census and of both
+  table builds (_Workspace).
 """
 
 from __future__ import annotations
@@ -75,17 +37,12 @@ from .modarith import check_prime_modulus, multiplicative_order, primitive_root
 DEFAULT_MEM_BUDGET = 2**31
 
 # Peak working memory of census_graph per element of <g> with int32
-# indices (t <= 2**31); int64 indices double it. Peak RSS over the
-# post-import baseline of a fresh process (VmHWM) at p = 10000019 was
-# 7.3-7.4 and 6.3 B per element for the proper subgroups t = 1.43e6 and
-# 5e6 (g = 2 and 3: S, the uint8 in-degrees and the first frontier), and
-# 6.2 B for the permutation t = 1e7 (g = 6: S and the ruling set's marks);
-# 8 leaves 1.27x headroom at t >= 5e6. It fails int32 in-degrees, which
-# peak at 9.3 B per element at t = 5e6. TestMemoryModels holds the pass
-# to it.
+# indices (t <= 2**31); int64 indices double it. The largest measured peak
+# was 7.4 B, at p = 10000019, g = 2 (CHANGES.md); TestMemoryModels holds
+# the pass to it.
 _GRAPH_BYTES_PER_NODE = 8
 
-# decompose_table's crossovers, measured in process (CHANGES.md): a numpy
+# The graph pass's crossovers, measured in process (CHANGES.md): a numpy
 # peel round over at most _NARROW leaves costs more than a Python step per
 # leaf; a permutation of at most _WALK_LIMIT nodes is walked in Python, and
 # a larger one split by a ruling set of every _RULER_STRIDE-th node.
@@ -97,16 +54,13 @@ _RULER_STRIDE = 64
 # the lemmas' 3-periodic sets and the CLI's --m-semantics choose between.
 M_SEMANTICS = ("least", "dividing")
 
-# Largest modulus for which int64 products a*b with a, b < p stay exact.
+# Largest modulus for which int64 products a*b with a, b < p stay exact:
+# about 3.04e9, below 2**32.
 _NUMPY_MOD_LIMIT = math.isqrt(2**63 - 1)
 
-# Elements per chunk of both table builds: a chunk's scratch stays in cache,
-# where a whole-array pass at t = 1e7 does not (there, _reduce took 1.7 ns
-# per element in chunks and 3.3 ns in one pass; np.take 3.8 ns in chunks,
-# where whole-table fancy indexing took 4.9 ns). Against 2**14, ec_census
-# at N = 2000356 took about 50 ms instead of 65 (a 2-core host, 6
-# interleaved runs); the prime map's times did not separate, and its peak
-# RSS grows by about 0.6 MB per doubling.
+# Elements per chunk of the table census and both table builds, so that a
+# chunk's scratch stays in cache; 2**15 was faster than 2**14 for ec_census
+# (CHANGES.md).
 _CHUNK = 1 << 15
 
 # census_table keeps its int32 S in the workspace between calls while <g> has
@@ -114,12 +68,9 @@ _CHUNK = 1 << 15
 # fresh array, freed on return.
 _WORKSPACE_MAX_ELEMENTS = 1 << 20
 
-# Peak working memory of census_table per element of <g>, as peak RSS over
-# the post-import baseline (VmHWM): 4.16 B at t = 10,000,018 (a fresh S).
-# The chunk scratch adds about 1.6 MB whatever t is, which shows at small t:
-# 5.65 B at t = 1,000,002 (S in the workspace); _check_budget charges it
-# on top. 5 leaves 1.2x headroom at t = 1e7; TestMemoryModels holds the
-# pass to it.
+# Peak working memory of census_table per element of <g>: 4.16 B measured
+# at t = 1e7 (CHANGES.md); _check_budget charges the chunk scratch on top.
+# TestMemoryModels holds the pass to it.
 _CENSUS_BYTES_PER_NODE = 5
 
 
@@ -138,7 +89,10 @@ class _Workspace:
     table: census_table's S. It grows geometrically, so a sweep over many
     subgroup sizes faults new pages in only O(log t) times, and never
     past _WORKSPACE_MAX_ELEMENTS.
-    Nothing returned by the module or by ecdynamics aliases these buffers.
+
+    The graph pass uses none of them. The one workspace makes the module
+    not reentrant: the package runs in parallel by processes, never by
+    threads. Nothing returned by the module or by ecdynamics aliases it.
     """
 
     def __init__(self) -> None:
@@ -167,9 +121,8 @@ class _Workspace:
 
 @functools.cache
 def _work() -> _Workspace:
-    """The module's one workspace, made at its first table pass (a process
-    that only imports the module, such as the CLI with workers, pays
-    nothing for it)."""
+    """The module's one workspace, made at its first table pass, so that a
+    process that only imports the module pays nothing for it."""
     return _Workspace()
 
 
@@ -178,11 +131,10 @@ class MemoryBudgetError(RuntimeError):
 
 
 def _check_budget(what: str, bytes_per_element: int, t: int, mem_budget: int) -> None:
-    """Refuse a pass (`what`) over an S of t elements whose working memory,
-    bytes_per_element per element (twice that when t > 2**31, where S and
-    its indices are int64) plus the workspace's chunk buffers (about 1.6
-    MB whatever t is; its table is part of the per-element charge),
-    exceeds mem_budget."""
+    """Raise MemoryBudgetError for a pass (`what`) over an S of t elements
+    whose working memory exceeds mem_budget: bytes_per_element per element
+    (twice that when t > 2**31, where S and its indices are int64) plus the
+    workspace's chunk buffers (its table is part of the per-element charge)."""
     need = bytes_per_element * t * (1 if t <= 2**31 else 2) + _work().chunk_bytes()
     if need > mem_budget:
         raise MemoryBudgetError(f"{what} needs ~{need} bytes, budget {mem_budget}")
@@ -324,15 +276,14 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
 
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
-    """out = a mod m (out defaults to a), for a of at most _CHUNK + 1
-    elements, or 2 * _CHUNK + 2 in uint32 (both halves of a block of S):
-    int64 a in (-m, m**2), or unsigned a of any value. The quotients go
-    in a view of the workspace's quot in a's dtype. numpy divides by a
-    scalar through libdivide: with the multiply and subtract, about half
-    the time of np.remainder (2.0 against 4.1 ns per element at 2**16
-    elements in int64), and the division itself is faster unsigned (per
-    element 0.82 ns in int64, 0.49 in uint64, 0.16 in uint32). An out of
-    another dtype takes the result unchecked (casting="unsafe").
+    """out = a mod m (out defaults to a), as a floor division by the scalar
+    m in a's dtype, a multiply and a subtract.
+
+    a holds at most _CHUNK + 1 elements, or 2 * _CHUNK + 2 in uint32 (both
+    halves of a block of S), since its quotients go in a view of the
+    workspace's quot in a's dtype. An int64 a must lie in (-m**2, m**2),
+    negative values included; an unsigned a may hold any value. The result
+    is cast into out's dtype unchecked (casting="unsafe"), so m must fit it.
     """
     q = np.ndarray(a.shape, a.dtype, _work().quot)
     np.floor_divide(a, m, out=q)
@@ -342,16 +293,15 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
 
 def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, block) where block mod p is [base**lo, base**(lo+1), ...]
-    in consecutive blocks of at most _CHUNK covering 0..count-1. A block
-    holds uint64 products in [0, p**2), unreduced: each caller reduces it
-    mod p (unsigned, see _reduce) into the buffer it fills.
+    in consecutive blocks of at most _CHUNK covering 0..count-1.
 
-    One level: with w about sqrt(count) (at most _CHUNK), base**(i*w + j)
-    is lead[i] * row[j], where row holds base**0..base**(w-1) and lead the
-    powers of base**w: w and about count/w Python products, each about
-    sqrt(count) below the cap, then one uint64 array each. A block is
-    whole rows and one broadcast multiply, in a uint64 view of the
-    workspace's block, which the next block overwrites.
+    A block holds uint64 products in [0, p**2), unreduced, which
+    p <= _NUMPY_MOD_LIMIT keeps below 2**64: each caller reduces it mod p
+    (_reduce) into the buffer it fills. It is a view of the workspace's
+    block, which the next block overwrites. With w about sqrt(count) (at
+    most _CHUNK), base**(i*w + j) is lead[i] * row[j], where row holds
+    base**0..base**(w-1) and lead the powers of base**w, both built by
+    Python products.
     """
     base %= p
     width = min(math.isqrt(max(count - 1, 0)) + 1, _CHUNK)
@@ -402,9 +352,10 @@ def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
 def _check_range(table: np.ndarray) -> None:
     """Raise IndexError unless every value of table lies in [0, len(table)).
 
-    The one range check of a table that is then gathered in numpy's wrap
-    mode, which would fold a bad value silently: a single max over an
-    unsigned view, in which a negative value reads as one above 2**31.
+    Every wrap-mode gather of the module runs behind this check, or, in
+    decompose_table's peel, behind np.add.at: wrap mode would fold a bad
+    value silently. One max over an unsigned view, in which a negative
+    value reads as a large one.
     """
     unsigned = table.view(np.uint32 if table.itemsize == 4 else np.uint64)
     if len(table) and np.maximum.reduce(unsigned) >= len(table):
@@ -414,17 +365,12 @@ def _check_range(table: np.ndarray) -> None:
 def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus:
     """CycleCensus of u -> table[u] over the starts {start,...,len(table)-1}.
 
-    k-fold composition by gathers; the one census loop behind both the
-    prime map (census_table, start 0) and the curve map
-    (ecdynamics.ec_census, start 1). The starts go _CHUNK at a time, and
-    each chunk's k iterates alternate between two chunk buffers of the
-    workspace. The gathers run in numpy's wrap mode behind one range check
-    of the table (_check_range), which raises IndexError for any value
-    outside [0, len(table)). In its default raise mode, np.take with out=
-    gathers into a fresh temporary and copies it into out, so that out is
-    left untouched if an index is bad. A gather still converts its index
-    chunk to intp, a temporary of 8 B per start of the chunk; nothing else
-    of a chunk's size is allocated.
+    The one census loop of the prime map (census_table, start 0) and the
+    curve map (ecdynamics.ec_census, start 1). For k_max > 1 the table must
+    map {0,...,len-1} into itself, else IndexError (_check_range). The
+    starts go _CHUNK at a time, and each chunk's k iterates alternate
+    between two chunk buffers of the workspace, gathered in wrap mode (raise
+    mode would copy each through a fresh temporary).
     """
     n_div = [0] * (k_max + 1)
     work = _work()
@@ -463,29 +409,20 @@ def census_table(m: ExpMap, k_max: int) -> CycleCensus:
 def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     """Functional-graph decomposition of node -> table[node] on {lo,...,len-1}.
 
-    The table must map that range into itself. Returns (cycle_lengths,
-    max_tail): one entry per cycle, and the most steps any node takes to
-    reach a cyclic node (0 for a permutation), as an int.
+    The table must map that range into itself, else IndexError (np.add.at).
+    Returns (cycle_lengths, max_tail): an int64 array with one entry per
+    cycle, and the most steps any node takes to reach a cyclic node (0 for
+    a permutation), as an int.
 
-    Cyclic nodes and the longest tail come from peeling leaves in
-    topological order (Kahn): each round removes the nodes no remaining
-    node maps to. The survivors are the cyclic nodes, and the number of
-    rounds is the longest tail. Besides the table, the pass holds one
-    uint8 array of in-degrees and the frontier. For S a node has at most
-    (p-1)/t preimages, the values of [1, p-1] congruent to it mod t, so
-    its count fits a byte while the index (p-1)/t is at most 255; the
-    curve map's in-degrees are at most 4. A table with a node of 256 or
-    more preimages (counts that no longer sum to n) is counted again in
-    its own dtype. A round over more than _NARROW leaves runs in numpy,
-    _CHUNK leaves at a time: the leaves' heads are gathered in wrap mode
-    into a fresh array, np.subtract.at takes one from the in-degree of
-    each, and the heads it frees (their in-degrees gathered the same way)
-    are sorted and told apart from their neighbours, so a head that
-    several leaves free enters the next frontier once. A narrower round
-    takes a Python step per leaf on memoryviews of the arrays (as fast to
-    index as lists, with no copy) instead of ~25 us of numpy calls. The
-    cyclic nodes, relabelled 0..c-1 by their rank among themselves
-    (np.searchsorted), then go to _cycle_lengths.
+    Peeling leaves (Kahn) leaves the cyclic nodes, and its rounds count the
+    longest tail. Besides the table, the pass holds the frontier and one
+    uint8 array of in-degrees: a node of S has at most (p-1)/t preimages,
+    the values of [1, p-1] congruent to it mod t, so a byte holds its count
+    while (p-1)/t <= 255, and the curve map's are at most 4. Counts that
+    wrapped no longer sum to n and are counted again in the table's dtype.
+    A round over more than _NARROW leaves runs in numpy, _CHUNK leaves at a
+    time; a narrower one takes a Python step per leaf on memoryviews. The
+    cyclic nodes, relabelled by their rank, go to _cycle_lengths.
     """
     succ = np.asarray(table)[lo:]
     if lo:
@@ -493,10 +430,8 @@ def decompose_table(table: np.ndarray, lo: int) -> tuple[np.ndarray, int]:
     n = len(succ)
     succ = succ.astype(np.int32 if n <= 2**31 else np.int64, copy=False)
 
-    # ufunc.at runs its fast loop (NumPy >= 1.25) only when the value has
-    # the dtype of the counts: np.add.at(indeg, idx, 1) casts element by
-    # element, 30x slower (337 against 11 ms at n = 1.43e6). np.bincount
-    # takes 16 ms there, but copies succ to intp and counts in int64.
+    # ufunc.at takes its fast loop (NumPy >= 1.25) only when the value has
+    # the counts' dtype; a Python int would be cast element by element.
     for dtype in (np.uint8, succ.dtype):
         indeg = np.zeros(n, dtype=dtype)
         one = indeg.dtype.type(1)
@@ -573,17 +508,17 @@ def _cycle_sums(succ: list[int], weight: list[int]) -> list[int]:
 
 
 def _cycle_lengths(perm: np.ndarray) -> list[int]:
-    """Cycle lengths of the permutation perm.
+    """Cycle lengths of the permutation perm (int32 or int64), as a list.
 
-    At most _WALK_LIMIT nodes are walked in Python. A larger perm is split
+    At most _WALK_LIMIT nodes are walked in Python. A larger perm must hold
+    values in [0, len) only, else IndexError (_check_range), and is split
     by a sparse ruling set (as in list ranking: Reid-Miller 1994, Sibeyn
     1997). Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One
-    walker per ruler steps in lockstep, one gather per round, to the next
-    ruler; the last _RULER_STRIDE walkers finish in Python. Summing the
-    gaps around the ruler permutation gives every cycle that holds a
-    ruler. The unvisited nodes lie on ruler-free cycles (all of them but
-    the rulers in the identity or in all 3-cycles): they are relabelled
-    by their rank among themselves and walked in Python.
+    walker per ruler steps in lockstep, one wrap-mode gather per round, to
+    the next ruler; the last _RULER_STRIDE walkers finish in Python.
+    Summing the gaps around the ruler permutation gives every cycle that
+    holds a ruler. The unvisited nodes lie on ruler-free cycles: they are
+    relabelled by their rank among themselves and walked in Python.
     """
     if len(perm) <= _WALK_LIMIT:
         return _cycle_sums(perm.tolist(), [1] * len(perm))
@@ -685,10 +620,10 @@ def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarra
     sends g**e to g**(g**e mod p), which is g**S[e] because g**t == 1.
     S is written into out (t long; int32, int64 for t > 2**31) if given,
     else a fresh array. For even t, g**(t/2) = -1, so S[t/2 + e] =
-    (p - (g**e mod p)) mod t and only the powers e < t/2 are taken, in
-    numpy and in Python alike. In numpy a block's powers v (v < p < 2**32)
-    and p - v go into the two halves of an unsigned view of S, and are
-    reduced mod t there (in uint64 a half at a time).
+    (p - (g**e mod p)) mod t and only the powers e < t/2 are taken. Up to
+    _NUMPY_MOD_LIMIT a block's powers v < p < 2**32 and p - v go into the
+    two halves of an unsigned view of S and are reduced mod t there; above
+    it, S is built from Python products.
     """
     p, g = m.p, m.g
     if out is None:
@@ -731,7 +666,9 @@ def census_graph(
     in S: a deepest point e of S has no preimage under S, so all (p-1)/t
     points of {1,...,p-1} congruent to e mod t lie outside <g> (if S is
     a permutation, every point outside <g> has tail 1).
-    k_max defaults to the longest cycle length.
+    k_max defaults to the longest cycle length. Raises MemoryBudgetError
+    when the pass, _GRAPH_BYTES_PER_NODE per element of <g>, exceeds
+    mem_budget.
     """
     if k_max is not None:
         _require_kmax(k_max)

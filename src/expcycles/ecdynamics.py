@@ -1,42 +1,22 @@
-"""Weierstrass curves over F_p and the x-coordinate exponentiation analogue.
+"""Weierstrass curves over F_p and the x-coordinate analogue of the map.
 
-The curve y^2 = x^3 + ax + b carries the usual chord-tangent group law
-with the point at infinity (represented as None) as neutral element.
-For a base point G and the group size N, the analogue map sends
-u -> x(uG) mod N on {0,...,N-1}, with x(O) assigned the value 0 so that
-iteration is total. Censuses count starting values in {1,...,N-1},
-mirroring the prime case, with the shared table census of dynamics.
+The curve y^2 = x^3 + ax + b carries the chord-tangent group law, with
+the point at infinity O as None (point_add, scalar_mul). For a base point
+G and the group size N, the analogue map sends u -> x(uG) mod N on
+{0,...,N-1}, with x(O) assigned the value 0 so that iteration is total.
+Censuses count starting values in {1,...,N-1}, as for the prime map.
 
-N*G = O gives x((N-u)G) = x(-uG) = x(uG), so the map is f = h o phi with
-phi(u) = min(u, N-u) and h = f on 0..N//2, the only part built (_x_half).
-ec_table mirrors it, t[N-u] = t[u]; ec_census censuses the folded map
-F(v) = min(h(v), N - h(v)) on the starts 1..N//2. As phi o f = F o phi,
-each F-periodic v >= 1 has exactly one f-periodic point in {v, N-v}, of
-the same period, so every n_dividing[k] is unchanged. ec_census_graph
-decomposes the full table, a check independent of the fold.
-
-_x_half builds its points by block doubling in numpy, starting from
-the point O: the points 0..f-1 plus fG give the points f..2f-1, by
-affine addition on int64 coordinate arrays where x = p stands for the
-point at infinity, _CHUNK lanes at a time. Each chunk's slope
-denominators are inverted by one product tree, _batch_inverse: about 3
-modular multiplies per element plus one scalar inverse. The numerators,
-the tree and the quotients of _reduce are three buffers of the one
-workspace of dynamics, one role each, and every reduction mod p is
-dynamics._reduce, the floor division by a scalar of both table builds.
-_x_half refuses p above the int64-exact limit dynamics._NUMPY_MOD_LIMIT,
-where its products would overflow silently. point_add and scalar_mul stay the
-scalar group law; ec_apply, one scalar_mul per value, is the independent
-check of the table.
-
-curve_order needs no table: N lies in the Hasse window of about 4 sqrt(p)
-integers, and each point of E or of its quadratic twist (which has
-2p + 2 - N points) rules out the candidates that it does not divide
-(Shanks-Mestre; Cohen, GTM 138, section 7.4). One baby-step giant-step
-search narrows the window to a progression, and each further point
-narrows the progression, until one candidate is left. For p > 229 that
-always happens (Mestre's theorem, in the bound of Cremona and
-Sutherland); below it the order is an exact Legendre-symbol sum.
+The routes and reductions, each stated in the function that enforces it:
+- curve_order counts E by Shanks-Mestre on E and its quadratic twist,
+  with no table; below _LEGENDRE_MAX_P it sums Legendre symbols;
+- _x_half builds x(uG) mod N for u <= N//2 only, since x(-P) = x(P), by
+  block doubling in numpy with x = p standing for O; each chunk's slope
+  denominators share one inversion (_batch_inverse), in the workspace of
+  dynamics, and p above dynamics._NUMPY_MOD_LIMIT is refused;
+- ec_table mirrors the half; ec_census runs the table census of dynamics
+  on the folded map, which keeps every N(k);
+- ec_census_graph decomposes the full table and ec_apply maps one value
+  by scalar_mul: checks independent of the fold.
 """
 
 from __future__ import annotations
@@ -64,8 +44,7 @@ from .modarith import check_prime_modulus
 
 Point = Optional[tuple[int, int]]  # None is the point at infinity
 
-# Largest p whose curve order is a Legendre-symbol sum; above it a point of
-# E or of its twist always pins N down (Mestre; Cremona-Sutherland 2010).
+# Largest p whose curve order is a Legendre-symbol sum (see curve_order).
 _LEGENDRE_MAX_P = 229
 
 
@@ -142,12 +121,17 @@ def scalar_mul(curve: CurveParams, k: int, point: Point) -> Point:
 
 
 def curve_order(curve: CurveParams) -> int:
-    """#E(F_p) by Shanks-Mestre (module docstring).
+    """#E(F_p) by Shanks-Mestre (Cohen, GTM 138, section 7.4), with no table.
 
+    N lies in the Hasse window of about 4 sqrt(p) integers; N annihilates
+    every point of E, and 2p + 2 - N every point of its quadratic twist.
     For x = 0, 1, 2, ..., a nonzero r = x^3 + ax + b puts (rx, r^2) on
     Y^2 = X^3 + ar^2 X + br^3, isomorphic to E for a square r and to its
     twist otherwise. The candidates for N stay a progression first + i*step,
-    i < count, from the whole Hasse window down to one value.
+    i < count: one baby-step giant-step search cuts the window to it, and
+    each further point cuts it, until one value is left. For p > 229 that
+    always happens (Mestre's theorem, in the bound of Cremona and
+    Sutherland 2010); below it the order is an exact Legendre-symbol sum.
     """
     p, a, b = curve.p, curve.a, curve.b
     if p <= _LEGENDRE_MAX_P:
@@ -278,8 +262,9 @@ def _batch_inverse(tree: np.ndarray, n: int, p: int) -> None:
 
 def _add_block(curve: CurveParams, x1: np.ndarray, y1: np.ndarray, q: Point,
                x3: np.ndarray, y3: np.ndarray) -> None:
-    """(x3, y3) = (x1, y1) + q elementwise, for at most _CHUNK lanes; x == p
-    marks the point at infinity.
+    """(x3, y3) = (x1, y1) + q elementwise, for at most _CHUNK lanes of
+    coordinates in [0, p], where x == p stands for O (no affine point has
+    x = p).
 
     The slope numerators go in the workspace's block, the denominators
     in its tree. The chord formula runs on every lane; the lanes P = O
@@ -323,7 +308,9 @@ def _x_half(m: ECExpMap) -> np.ndarray:
     """h[u] = x(uG) mod N for u in 0..N//2, x(O) := 0; int32 if N < 2**31.
 
     Block doubling from the point O: once the points 0..f-1 are known,
-    the next block is P[i] + fG, _CHUNK lanes at a time.
+    the next block is P[i] + fG, _CHUNK lanes at a time. p above
+    dynamics._NUMPY_MOD_LIMIT raises MemoryBudgetError, as its products
+    would overflow int64 silently.
     """
     p, n = m.curve.p, m.n // 2 + 1
     _require_int64_exact(p)
@@ -356,7 +343,12 @@ def ec_table(m: ECExpMap) -> np.ndarray:
 def ec_census(m: ECExpMap, k_max: int) -> CycleCensus:
     """Count u0 in {1,...,N-1} with u_k == u0 for each k <= k_max.
 
-    By the table census of the folded map F on 1..N//2 (module docstring).
+    N*G = O gives x((N-u)G) = x(-uG) = x(uG), so the map is f = h o phi
+    with phi(u) = min(u, N-u) and h = _x_half. The table census runs on the
+    folded map F(v) = min(h(v), N - h(v)) over the starts 1..N//2. As
+    phi o f = F o phi, each F-periodic v >= 1 has exactly one f-periodic
+    point in {v, N-v}, of the same period, so every n_dividing[k] is
+    unchanged.
     """
     _require_kmax(k_max)
     half = _x_half(m)
