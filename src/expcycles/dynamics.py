@@ -515,7 +515,8 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
     by a sparse ruling set (as in list ranking: Reid-Miller 1994, Sibeyn
     1997). Every _RULER_STRIDE-th node (by label: no RNG) is a ruler. One
     walker per ruler steps in lockstep, one wrap-mode gather per round, to
-    the next ruler; the last _RULER_STRIDE walkers finish in Python.
+    the next ruler, and the walkers that reach it are dropped by boolean
+    indexing; the last _RULER_STRIDE walkers finish in Python.
     Summing the gaps around the ruler permutation gives every cycle that
     holds a ruler. The unvisited nodes lie on ruler-free cycles: they are
     relabelled by their rank among themselves and walked in Python.
@@ -525,34 +526,6 @@ def _cycle_lengths(perm: np.ndarray) -> list[int]:
     _check_range(perm)
     mark = np.zeros(len(perm), dtype=np.int8)  # 0 unvisited, 1 walked, 2 ruler
     mark[::_RULER_STRIDE] = 2
-    gap, nxt, steps, walkers = _ruler_rounds(perm, mark)
-    gap, nxt = gap.tolist(), nxt.tolist()
-    step, seen = memoryview(perm), memoryview(mark)
-    for i, u in walkers:
-        walked = steps
-        while seen[u] != 2:
-            seen[u] = 1
-            u = step[u]
-            walked += 1
-        gap[i], nxt[i] = walked, u // _RULER_STRIDE
-    rest = _zeros_of(mark, perm.dtype)
-    rest_succ = np.searchsorted(rest, perm[rest]).tolist()
-    return _cycle_sums(nxt, gap) + _cycle_sums(rest_succ, [1] * len(rest))
-
-
-def _ruler_rounds(
-    perm: np.ndarray, mark: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, list[tuple[int, int]]]:
-    """The lockstep rounds of _cycle_lengths, one walker per ruler (the
-    nodes marked 2), until at most _RULER_STRIDE walkers are out.
-
-    Returns (gap, nxt, steps, walkers): for each finished walker the steps
-    to the next ruler and that ruler's index, the number of rounds run,
-    and the (ruler index, position) of each walker still out. A round
-    gathers the marks at the walkers and their successors in wrap mode
-    (perm is range-checked), and the walkers that reached a ruler are
-    dropped by boolean indexing.
-    """
     count = -(-len(perm) // _RULER_STRIDE)
     gap = np.empty(count, dtype=np.int64)  # steps to the next ruler
     nxt = np.empty_like(gap)  # index of the next ruler
@@ -570,9 +543,21 @@ def _ruler_rounds(
             keep = ~at_ruler
             ids, pos = ids[keep], pos[keep]
         if len(ids) <= _RULER_STRIDE:
-            return gap, nxt, steps, list(zip(ids.tolist(), pos.tolist()))
+            break
         mark[pos] = 1
         pos[:] = perm.take(pos, mode="wrap")
+    gap, nxt = gap.tolist(), nxt.tolist()
+    step, seen = memoryview(perm), memoryview(mark)
+    for i, u in zip(ids.tolist(), pos.tolist()):
+        walked = steps
+        while seen[u] != 2:
+            seen[u] = 1
+            u = step[u]
+            walked += 1
+        gap[i], nxt[i] = walked, u // _RULER_STRIDE
+    rest = _zeros_of(mark, perm.dtype)
+    rest_succ = np.searchsorted(rest, perm[rest]).tolist()
+    return _cycle_sums(nxt, gap) + _cycle_sums(rest_succ, [1] * len(rest))
 
 
 def _graph_summary(cycle_lengths: np.ndarray | list[int], max_tail: int) -> FunctionalGraphSummary:
