@@ -281,9 +281,9 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
 
     a holds at most _CHUNK + 1 elements, or 2 * _CHUNK + 2 in uint32 (both
     halves of a block of S), since its quotients go in a view of the
-    workspace's quot in a's dtype. An int64 a must lie in (-m**2, m**2),
-    negative values included; an unsigned a may hold any value. The result
-    is cast into out's dtype unchecked (casting="unsafe"), so m must fit it.
+    workspace's quot in a's dtype. An int64 a must lie in (-m**2, m**2);
+    an unsigned a may hold any value. The result is cast into out's dtype
+    unchecked (casting="unsafe"), so m must fit it.
     """
     q = np.ndarray(a.shape, a.dtype, _work().quot)
     np.floor_divide(a, m, out=q)

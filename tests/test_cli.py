@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_census, brute_thm2_holds, brute_thm3_holds, trial_primes_between
+import expcycles
 from expcycles import bounds, cli, dynamics, ecdynamics
 
 
@@ -633,6 +634,11 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert done.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves_with_a_docstring(self):
+        undocumented = [name for name in expcycles.__all__
+                        if not (getattr(expcycles, name).__doc__ or "").strip()]
+        assert expcycles.__all__ and undocumented == []
 
 
 class TestReadmeExamples:
