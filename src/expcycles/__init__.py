@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bounds": "BoundReport thm1_bound thm2_bound_explicit thm3_bound verify",
-    "dynamics": "CycleCensus ExpMap FunctionalGraphSummary MemoryBudgetError OrbitRecord "
-    "apply census_graph census_naive census_table fixed_points iterate orbit",
+    "dynamics": "CycleCensus ExpMap FunctionalGraphSummary MemoryBudgetError OrbitRecord apply "
+    "census census_graph census_naive census_route census_table fixed_points iterate orbit",
     "ecdynamics": "CurveParams ECExpMap curve_order ec_apply ec_census point_add scalar_mul",
     "lemmas": "CombLemmaInstance Thm3ProofReport comb_verify fact1_check fact2_check "
     "fact2_exceptional_set thm3_S thm3_phi thm3_verify",

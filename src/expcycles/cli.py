@@ -105,21 +105,8 @@ def _require_prime(p: int) -> None:
 
 # ---------------------------------------------------------------- census
 
-def _census_and_graph(
-    m: dynamics.ExpMap, k_max: int, mem_budget: int
-) -> tuple[dynamics.CycleCensus, dict | None]:
-    """(census, graph dict) from the graph pass; over its budget, (census, None)
-    from the table census if that fits the budget, else from the naive census."""
-    try:
-        summary, census = dynamics.census_graph(m, k_max=k_max, mem_budget=mem_budget)
-    except dynamics.MemoryBudgetError:
-        try:
-            dynamics._check_budget("the table census", dynamics._CENSUS_BYTES_PER_NODE,
-                                   multiplicative_order(m.g, m.p), mem_budget)
-        except dynamics.MemoryBudgetError:
-            return dynamics.census_naive(m, k_max), None
-        return dynamics.census_table(m, k_max), None
-    return census, {
+def _graph_fields(summary: dynamics.FunctionalGraphSummary | None) -> dict | None:
+    return None if summary is None else {
         "components": summary.component_count,
         "cyclic_points": summary.cyclic_point_count,
         "cycles": list(summary.cycle_length_multiset),
@@ -143,8 +130,8 @@ def _count_columns(k_max: int) -> list[str]:
 
 
 def _census_rows(m: dynamics.ExpMap, k_max: int, mem_budget: int):
-    census, graph = _census_and_graph(m, k_max, mem_budget)
-    yield {"p": m.p, "g": m.g, **_counts(census, k_max), "graph": graph}, False
+    census, summary = dynamics.census(m, k_max, mem_budget)
+    yield {"p": m.p, "g": m.g, **_counts(census, k_max), "graph": _graph_fields(summary)}, False
 
 
 def _census_columns(k_max: int) -> list[str]:
@@ -171,16 +158,10 @@ def _census_flat(row: dict) -> list:
     )
 
 
-def _require_budget(mem_budget: int) -> None:
-    if mem_budget < 0:
-        raise ValueError(f"--mem-budget must be >= 0, got {mem_budget}")
-
-
 def cmd_census(args) -> int:
     _require_prime(args.p)
     m = dynamics.ExpMap(args.p, args.g)
-    dynamics._require_kmax(args.kmax)
-    _require_budget(args.mem_budget)
+    dynamics.census_route(m.p, multiplicative_order(m.g, m.p), args.kmax, args.mem_budget)
     return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
                  _census_columns(args.kmax), _census_flat)
 
@@ -285,15 +266,12 @@ def cmd_verify_bounds(args) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-_SWEEP_KMAX = 3
-
-
 def _sweep_row(p: int, g: int, args) -> tuple[dict, bool]:
     m = dynamics.ExpMap(p, g)
     # bounds always need counts up to k = 3
-    census, graph = _census_and_graph(m, max(3, args.kmax), args.mem_budget)
+    census, summary = dynamics.census(m, max(3, args.kmax), args.mem_budget)
     report = bounds.verify(m, census=census)
-    row = {"p": p, "g": m.g, **_counts(census, args.kmax), "graph": graph,
+    row = {"p": p, "g": m.g, **_counts(census, args.kmax), "graph": _graph_fields(summary),
            **_bound_fields(report)}
     return row, report.violated
 
@@ -307,9 +285,14 @@ def _sweep_flat(row: dict) -> list:
 
 
 def cmd_sweep(args) -> int:
-    dynamics._require_kmax(args.kmax)
-    _require_budget(args.mem_budget)
-    return _emit(args, _range_rows(_range_primes(args), args, _sweep_row),
+    primes = _range_primes(args)
+    # checked once, at the rows' census depth (_sweep_row) and at t = p - 1 of
+    # the largest prime, which passes only if every (p, g) does; a k_max below
+    # 1 goes through to be refused, and an empty range is checked at p = 3
+    top = max(primes, default=3)
+    k_max = max(3, args.kmax) if args.kmax >= 1 else args.kmax
+    dynamics.census_route(top, top - 1, k_max, args.mem_budget)
+    return _emit(args, _range_rows(primes, args, _sweep_row),
                  _sweep_columns(args.kmax), _sweep_flat)
 
 
@@ -507,6 +490,13 @@ def _add_range_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=1)
 
 
+def _add_census_flags(sub) -> None:
+    sub.add_argument("--kmax", type=int, default=3)
+    sub.add_argument("--mem-budget", type=int, default=dynamics.DEFAULT_MEM_BUDGET,
+                     help="bytes per census: the graph pass, else the table census, else "
+                     "the naive census up to (p-1)*kmax = 1e8 steps; else exit 2, no row")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expcycles",
@@ -517,10 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("census", help="cycle census and graph summary for one (p, g)")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--kmax", type=int, default=3)
-    sub.add_argument("--mem-budget", type=int, default=dynamics.DEFAULT_MEM_BUDGET,
-                     help="bytes allowed for the graph pass; above it the table census "
-                     "runs if it fits, else the naive census")
+    _add_census_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_census)
 
@@ -531,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="full census + bounds report over a prime range")
     _add_range_flags(sub)
-    sub.add_argument("--kmax", type=int, default=_SWEEP_KMAX)
-    sub.add_argument("--mem-budget", type=int, default=dynamics.DEFAULT_MEM_BUDGET)
+    _add_census_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_sweep)
 

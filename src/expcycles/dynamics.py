@@ -4,6 +4,8 @@ Three census routes, which the tests hold to agreement: census_naive
 iterates the definition, census_table composes a value table k times
 (_census_from_table, which ecdynamics shares), and census_graph
 decomposes the functional graph (decompose_table, _cycle_lengths).
+census is the one ladder over them: census_route picks the first that
+fits the memory budget, or refuses a run that cannot finish.
 fixed_points and fixed_point_counts_all_bases give N(1) directly.
 
 The fast routes rest on these reductions, each stated in the function
@@ -72,6 +74,10 @@ _WORKSPACE_MAX_ELEMENTS = 1 << 20
 # at t = 1e7 (CHANGES.md); _check_budget charges the chunk scratch on top.
 # TestMemoryModels holds the pass to it.
 _CENSUS_BYTES_PER_NODE = 5
+
+# The most map applications, (p-1)*k_max, that census_route lets the naive
+# census make: about 2 minutes at the measured 1.2 us each (CHANGES.md).
+_NAIVE_MAX_STEPS = 10**8
 
 
 class _Workspace:
@@ -143,6 +149,32 @@ def _check_budget(what: str, bytes_per_element: int, t: int, mem_budget: int) ->
 def _require_kmax(k_max: int) -> None:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+
+
+def census_route(p: int, t: int, k_max: int, mem_budget: int) -> str:
+    """The route census takes for a map mod p whose <g> has t elements:
+    "graph" if the graph pass fits mem_budget, else "table" if the table
+    census fits, else "naive" while its (p-1)*k_max map applications stay
+    within _NAIVE_MAX_STEPS.
+
+    Above that cap raises MemoryBudgetError, naming the table census's
+    bytes, the budget and the cap; k_max < 1 or a negative mem_budget
+    raise ValueError. Every charge grows with p and t, so a run that
+    passes at (p, p - 1) passes for every base mod every prime up to p.
+    """
+    _require_kmax(k_max)
+    if mem_budget < 0:
+        raise ValueError(f"mem_budget must be >= 0, got {mem_budget}")
+    for route, per_node in (("graph", _GRAPH_BYTES_PER_NODE), ("table", _CENSUS_BYTES_PER_NODE)):
+        try:
+            _check_budget(f"p={p}: the {route} census", per_node, t, mem_budget)
+            return route
+        except MemoryBudgetError as exc:
+            refusal = exc
+    if (p - 1) * k_max > _NAIVE_MAX_STEPS:
+        raise MemoryBudgetError(f"{refusal}, and the naive census's {(p - 1) * k_max} map "
+                                f"applications exceed its cap of {_NAIVE_MAX_STEPS}")
+    return "naive"
 
 
 @dataclass(frozen=True)
@@ -668,6 +700,19 @@ def census_graph(
         cycle_lengths, max_tail = decompose_table(table, 0)
         summary = _graph_summary(cycle_lengths, max_tail + 1)
     return summary, _census_from_cycles(summary.cycle_length_multiset, k_max)
+
+
+def census(
+    m: ExpMap, k_max: int, mem_budget: int = DEFAULT_MEM_BUDGET
+) -> tuple[CycleCensus, FunctionalGraphSummary | None]:
+    """The census of m by the route census_route picks, with the graph
+    summary when that route is the graph pass, else None. Raises as
+    census_route does, before any pass runs."""
+    route = census_route(m.p, multiplicative_order(m.g, m.p), k_max, mem_budget)
+    if route == "graph":
+        summary, counts = census_graph(m, k_max, mem_budget)
+        return counts, summary
+    return (census_table if route == "table" else census_naive)(m, k_max), None
 
 
 def fixed_points(m: ExpMap) -> set[int]:

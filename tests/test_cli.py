@@ -86,6 +86,26 @@ class TestCensusCommand:
             assert row["n_dividing"] == n_div[1:]
 
 
+    def test_census_that_cannot_finish_refused_up_front(self, capsys, monkeypatch, tmp_path):
+        # ord(2) = (p - 1) / 2 near 2**63: neither fast pass fits the default
+        # budget, and the naive census would take 2.8e19 map applications
+        def no_census(*args):
+            raise AssertionError("a census ran")
+
+        for name in ("census_graph", "census_table", "census_naive"):
+            monkeypatch.setattr(dynamics, name, no_census)
+        argv = ("census", "--p", "9223372036854775783", "--g", "2", "--kmax", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: p=9223372036854775783: the table census needs ~")
+        assert "cap of 100000000" in err
+        target = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert not target.exists()
+
+
 class TestVerifyBoundsCommand:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--pmin", "11", "--pmax", "101")
@@ -195,6 +215,31 @@ class TestSweepCommand:
                                  "--g-list", "2", "--kmax", kmax, "--csv")
         assert code == 2
         assert out == ""
+        assert "k_max must be >= 1" in err
+
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kmax", ["3", "1"])
+    def test_refused_range_writes_nothing(self, capsys, monkeypatch, tmp_path, workers, kmax):
+        # rows count to k = 3 at least: 300 naive steps at p = 101, one over
+        # the lowered cap, and at most 288 at every smaller prime
+        monkeypatch.setattr(dynamics, "_NAIVE_MAX_STEPS", 299)
+        argv = ("sweep", "--pmin", "11", "--pmax", "101", "--g-list", "2", "--kmax", kmax,
+                "--mem-budget", "0", "--workers", workers, "--csv")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: p=101: the table census needs ~")
+        target = tmp_path / "report.csv"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert not target.exists()
+
+    def test_range_without_primes(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--pmin", "24", "--pmax", "28",
+                               "--mem-budget", "0")
+        assert (code, out) == (0, "")
+        code, out, err = run_cli(capsys, "sweep", "--pmin", "24", "--pmax", "28", "--kmax", "0")
+        assert (code, out) == (2, "")
         assert "k_max must be >= 1" in err
 
 

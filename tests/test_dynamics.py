@@ -562,6 +562,74 @@ class TestCensusGraph:
                 assert pow(rec.entry_point, t, p) == 1, (p, g, u)
 
 
+
+class TestCensusLadder:
+    # p = 1009, g = 3: t = ord(3) = 168, and 1008 starts for the naive census
+    P, G, T = 1009, 3, 168
+
+    def need(self, bytes_per_node):
+        return bytes_per_node * self.T + dynamics._work().chunk_bytes()
+
+    def route(self, mem_budget, k_max=3):
+        return dynamics.census_route(self.P, self.T, k_max, mem_budget)
+
+    def test_memory_boundaries(self):
+        graph = self.need(dynamics._GRAPH_BYTES_PER_NODE)
+        table = self.need(dynamics._CENSUS_BYTES_PER_NODE)
+        assert self.route(graph) == "graph"
+        assert self.route(graph - 1) == "table"
+        assert self.route(table) == "table"
+        assert self.route(table - 1) == "naive"
+
+    def test_naive_cap_boundary(self, monkeypatch):
+        steps = (self.P - 1) * 3
+        monkeypatch.setattr(dynamics, "_NAIVE_MAX_STEPS", steps)
+        assert self.route(0) == "naive"
+        monkeypatch.setattr(dynamics, "_NAIVE_MAX_STEPS", steps - 1)
+        with pytest.raises(dynamics.MemoryBudgetError) as refused:
+            self.route(0)
+        table = self.need(dynamics._CENSUS_BYTES_PER_NODE)
+        assert f"needs ~{table} bytes, budget 0" in str(refused.value)
+        assert f"{steps} map applications exceed its cap of {steps - 1}" in str(refused.value)
+        assert self.route(table) == "table"  # the cap bounds the naive rung only
+
+    def test_refused_at_the_default_budget(self):
+        # t = (p - 1) / 2: both fast passes need more than 2 GiB, and the
+        # naive census 2.8e19 map applications
+        p = 9223372036854775783
+        m = dynamics.ExpMap(p, 2)
+        with pytest.raises(dynamics.MemoryBudgetError, match="cap of 100000000"):
+            dynamics.census_route(p, multiplicative_order(2, p), 3, dynamics.DEFAULT_MEM_BUDGET)
+        with pytest.raises(dynamics.MemoryBudgetError, match="cap of 100000000"):
+            dynamics.census(m, 3)
+
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            self.route(dynamics.DEFAULT_MEM_BUDGET, k_max=0)
+        with pytest.raises(ValueError, match="mem_budget must be >= 0"):
+            self.route(-1)
+
+    def test_every_route_equals_naive(self, monkeypatch):
+        # census reaches each route through the module's globals
+        m = dynamics.ExpMap(self.P, self.G)
+        oracle, ran = dynamics.census_naive, []
+        for name in ("census_graph", "census_table", "census_naive"):
+            def recorded(*args, _name=name, _route=getattr(dynamics, name)):
+                ran.append(_name)
+                return _route(*args)
+            monkeypatch.setattr(dynamics, name, recorded)
+        graph_summary, _ = dynamics.census_graph(m)
+        for budget, route in [(self.need(dynamics._GRAPH_BYTES_PER_NODE), "census_graph"),
+                              (self.need(dynamics._CENSUS_BYTES_PER_NODE), "census_table"),
+                              (0, "census_naive")]:
+            for k_max in (1, 4):
+                ran.clear()
+                census, summary = dynamics.census(m, k_max, budget)
+                assert ran == [route], (budget, k_max)
+                assert census == oracle(m, k_max), route
+                assert summary == (graph_summary if route == "census_graph" else None)
+
+
 class TestDecomposeTable:
     @staticmethod
     def check(table, lo=0):
