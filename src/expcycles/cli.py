@@ -5,8 +5,8 @@ header row, written to stdout or --out FILE row by row as the rows are
 produced. Every subcommand checks its arguments before the first row and
 then writes through _emit. Exit codes: 0 for success with no violations,
 1 when a checked inequality or claim fails on some instance, 2 for
-invalid input (nothing is written), 3 for an internal failure after the
-arguments were accepted (the rows already written are kept), and 141
+invalid input (nothing is written), 3 for an internal failure, before
+or after the first row (the rows already written are kept), and 141
 (128 + SIGPIPE) with nothing on stderr when the reader of stdout closes
 the pipe early, as `... | head -1` does.
 """
@@ -22,7 +22,7 @@ import sys
 # lemmas, csv and concurrent.futures load where a command uses them. bounds and
 # ecdynamics stay: perfbench's tracer wraps them after importing this module.
 from . import bounds, dynamics, ecdynamics
-from .modarith import is_prime, is_primitive_root, multiplicative_order, primes_in_range
+from .modarith import check_prime_modulus, is_primitive_root, multiplicative_order, primes_in_range
 
 DEFAULT_SEED = 42
 
@@ -98,11 +98,6 @@ def _emit(args, results, columns: list[str], flatten) -> int:
     return code
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p={p} is not an odd prime")
-
-
 # ---------------------------------------------------------------- census
 
 def _graph_fields(summary: dynamics.FunctionalGraphSummary | None) -> dict | None:
@@ -159,7 +154,6 @@ def _census_flat(row: dict) -> list:
 
 
 def cmd_census(args) -> int:
-    _require_prime(args.p)
     m = dynamics.ExpMap(args.p, args.g)
     dynamics.census_route(m.p, multiplicative_order(m.g, m.p), args.kmax, args.mem_budget)
     return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
@@ -408,7 +402,7 @@ def _thm3_flat(row: dict) -> list:
 def cmd_lemma_thm3(args) -> int:
     from . import lemmas
     if args.p is not None:
-        _require_prime(args.p)
+        check_prime_modulus(args.p)
         dynamics._require_int64_exact(args.p)
         candidates = [args.p]
     else:
@@ -460,7 +454,7 @@ def _avg_rows(p: int, k: int):
 
 
 def cmd_avg(args) -> int:
-    _require_prime(args.p)
+    check_prime_modulus(args.p)
     if args.k < 1:
         raise ValueError("k must be >= 1")
     if args.k == 1:  # the all-bases count is a table pass over {0,...,p-1}
@@ -584,6 +578,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, dynamics.MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # before the first row, e.g. a MemoryError in the sieve
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -356,7 +356,12 @@ def _pow_blocks(base: int, count: int, p: int) -> Iterator[tuple[int, np.ndarray
 
 
 def _pow_range(base: int, count: int, p: int) -> np.ndarray:
-    """[base**0, ..., base**(count-1)] mod p as int64."""
+    """[base**0, ..., base**(count-1)] mod p as int64.
+
+    p above _NUMPY_MOD_LIMIT raises MemoryBudgetError, as the products of
+    _pow_blocks would overflow.
+    """
+    _require_int64_exact(p)
     out = np.empty(count, dtype=np.int64)
     for lo, block in _pow_blocks(base, count, p):
         _reduce(block, p, out[lo : lo + len(block)])
@@ -731,10 +736,9 @@ def fixed_point_counts_all_bases(p: int) -> np.ndarray:
     O(p) by indices: with a primitive root r, g = r**i and u = r**L[u],
     g fixes u exactly when i*u == L[u] (mod p-1). For d = gcd(u, p-1)
     that has no solution i unless d divides L[u], and then d of them,
-    one residue class mod (p-1)/d. p above _NUMPY_MOD_LIMIT raises
-    MemoryBudgetError; primitive_root checks that p is prime.
+    one residue class mod (p-1)/d. Raises as primitive_root does for a p
+    that is not an odd prime, then as _pow_range does.
     """
-    _require_int64_exact(p)
     n = p - 1
     powers = _pow_range(primitive_root(p), n, p)
     index = np.empty(p, dtype=np.int64)

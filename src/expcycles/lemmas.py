@@ -154,7 +154,8 @@ def thm3_S(p: int, g: int) -> set[int]:
     """Index part of the exceptional set for the 3-cycle argument.
 
     {p-1, ind_g(p-1)} plus ind_g(floor(jp/g)) for 1 <= j <= g-1, at most
-    g+1 elements. Requires g to be a primitive root mod p.
+    g+1 elements. Raises ValueError unless p is an odd prime and g, in
+    1..p-1, is a primitive root mod p.
     """
     check_prime_modulus(p)
     if not 1 <= g <= p - 1:
@@ -171,16 +172,18 @@ def three_periodic_set(m: dynamics.ExpMap, semantics: str) -> set[int]:
     """The 3-periodic point set under the chosen semantics.
 
     "dividing": {u : u_3 == u} (includes fixed points); "least": points
-    of least period exactly 3.
+    of least period exactly 3. Raises as _pow_range and _three_periodic do.
     """
-    if semantics not in M_SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}; use one of {M_SEMANTICS}")
-    dynamics._require_int64_exact(m.p)
     return _three_periodic(dynamics._pow_range(m.g, m.p, m.p), semantics)
 
 
 def _three_periodic(table: np.ndarray, semantics: str) -> set[int]:
-    """The 3-periodic points of u -> table[u] among 1..len(table)-1."""
+    """The 3-periodic points of u -> table[u] among 1..len(table)-1.
+
+    A semantics outside M_SEMANTICS raises ValueError.
+    """
+    if semantics not in M_SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}; use one of {M_SEMANTICS}")
     base = np.arange(1, len(table), dtype=np.int64)
     t1 = table[1:]
     mask = table[table[t1]] == base
@@ -257,19 +260,12 @@ def thm3_verify(p: int, g: int, m_semantics: str = "least") -> Thm3ProofReport:
     key_claim_ok hold by construction, and hypotheses_ok equals
     max_preimage <= 2. The checks that can fail are max_preimage,
     bound_check, x_cardinality_ok and s_cardinality_ok.
-    """
-    if m_semantics not in M_SEMANTICS:
-        raise ValueError(f"unknown semantics {m_semantics!r}; use one of {M_SEMANTICS}")
-    m = dynamics.ExpMap(p, g)
-    if m.g != g:
-        raise ValueError(f"g={g} outside {{1,...,{p - 1}}}")
-    if not is_primitive_root(g, p):
-        raise ValueError(f"g={g} is not a primitive root mod {p}")
 
-    dynamics._require_int64_exact(p)
+    Raises as thm3_S does, then as _pow_range and _three_periodic do.
+    """
+    s_index = thm3_S(p, g)
     table = dynamics._pow_range(g, p, p)
     m_set = _three_periodic(table, m_semantics)
-    s_index = thm3_S(p, g)
     c_set = adjacency_core(p, m_set)
 
     tl = table.tolist()

@@ -60,30 +60,20 @@ def check_prime_modulus(p: int) -> int:
     return p
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by a byte sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * len(sieve[start::p])
-    return [i for i, v in enumerate(sieve) if v]
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, by a byte sieve of [lo, hi] alone.
 
-    The base primes up to sqrt(hi) cross off their multiples from
-    max(q*q, lo) on, so the cost is O(sqrt(hi) + hi - lo).
+    The base primes up to sqrt(hi) come from this same sieve (the
+    recursion ends once hi < 4) and cross off their multiples from
+    max(q*q, lo) on, so the cost is O(sqrt(hi) + hi - lo). The sieve takes
+    one byte per number in [lo, hi]; a span that does not fit in memory
+    raises MemoryError.
     """
     lo = max(lo, 2)
     if lo > hi:
         return []
     sieve = bytearray(b"\x01") * (hi - lo + 1)
-    for q in primes_up_to(math.isqrt(hi)):
+    for q in primes_in_range(2, math.isqrt(hi)):
         start = max(q * q, -(-lo // q) * q)
         if start <= hi:
             sieve[start - lo :: q] = bytes((hi - start) // q + 1)

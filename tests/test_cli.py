@@ -37,7 +37,7 @@ class TestCensusCommand:
     def test_non_prime_rejected(self, capsys):
         code, _, err = run_cli(capsys, "census", "--p", "4", "--g", "2")
         assert code == 2
-        assert "not an odd prime" in err
+        assert "modulus 4 is not prime" in err
 
     def test_bad_g_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "census", "--p", "7", "--g", "0")
@@ -448,6 +448,20 @@ if __name__ == "__main__":
         code, out, err = run_cli(capsys, "census", "--p", "11", "--g", "2", "--out", str(target))
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out")
+
+    def test_failure_before_first_row_exits_3(self, capsys, monkeypatch, tmp_path):
+        # exit 1 is a failed bound, so a sieve out of memory must not escape main
+        def no_memory(lo, hi):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "primes_in_range", no_memory)
+        target = tmp_path / "report.jsonl"
+        for out_args in ([], ["--out", str(target)]):
+            code, out, err = run_cli(capsys, "verify-bounds", "--pmin", "3", "--pmax", "100",
+                                     *out_args)
+            assert (code, out) == (3, "")
+            assert err.startswith("internal error:")
+        assert not target.exists()
 
 
 class TestBrokenPipe:

@@ -148,6 +148,12 @@ class TestPowRange:
         for u in [1, 2, p - 1] + [rng.randint(1, p - 1) for _ in range(200)]:
             assert int(table[u]) == pow(g, u, p)
 
+    def test_refused_above_int64_limit(self, monkeypatch):
+        # the limit lowered just below p stands in for p > 3.04e9
+        monkeypatch.setattr(dynamics, "_NUMPY_MOD_LIMIT", 22)
+        with pytest.raises(dynamics.MemoryBudgetError, match="int64"):
+            dynamics._pow_range(2, 5, 23)
+
 
 class TestSharedReduce:
     # the largest modulus whose products stay exact in int64: (p-1)**2 < 2**63

@@ -247,12 +247,15 @@ class TestThm3Verify:
         assert report.all_ok
 
     def test_rejects_non_primitive_root(self):
-        with pytest.raises(ValueError):
-            lemmas.thm3_verify(7, 2)
+        for p, g, match in [(7, 2, "not a primitive root"), (19, 7, "not a primitive root"),
+                            (19, 19, "outside"), (19, 21, "outside")]:
+            with pytest.raises(ValueError, match=match):
+                lemmas.thm3_verify(p, g)
 
     def test_rejects_bad_semantics(self):
-        with pytest.raises(ValueError):
-            lemmas.thm3_verify(11, 2, "exact")
+        for p, g, semantics in [(11, 2, "exact"), (19, 2, "maximal")]:
+            with pytest.raises(ValueError, match="unknown semantics"):
+                lemmas.thm3_verify(p, g, semantics)
 
     def test_sweep_small(self):
         for p in trial_primes_between(11, 300):

@@ -32,17 +32,18 @@ class TestIsPrime:
 
 class TestPrimesSieve:
     def test_primes_up_to(self):
-        assert modarith.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-        assert modarith.primes_up_to(1) == []
+        assert modarith.primes_in_range(0, 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert modarith.primes_in_range(0, 1) == []
 
     def test_primes_in_range(self):
         assert modarith.primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
 
     def test_segment_matches_filtered_sieve(self):
         # ends on and off primes, squares of base primes, segments shorter
-        # than a base prime
+        # than a base prime; the reference is trial division, since the
+        # sieve finds its own base primes with itself
         rng = random.Random(50)
-        full = modarith.primes_up_to(203000)
+        full = trial_primes_between(0, 203000)
         ranges = [(lo, lo + rng.randrange(0, 3000)) for lo in rng.sample(range(200000), 40)]
         ranges += [(lo, min(lo + width, 200000)) for lo, width in
                    [(0, 100), (289, 0), (288, 290), (3, 99997), (199000, 1000), (41, 1681)]]
@@ -57,6 +58,10 @@ class TestPrimesSieve:
         assert modarith.primes_in_range(10008, 10008) == []
         assert modarith.primes_in_range(31, 30) == []
         assert modarith.primes_in_range(10**7, 10**7 + 100) == [10000019, 10000079]
+        # base primes through sieves up to 10**6, 1000, 31, 5 and 2
+        lo = 10**12
+        assert modarith.primes_in_range(lo, lo + 300) == [
+            n for n in range(lo, lo + 301) if modarith.is_prime(n)]
 
 
 class TestPrimeFactors:
