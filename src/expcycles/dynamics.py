@@ -5,7 +5,9 @@ iterates the definition, census_table composes a value table k times
 (_census_from_table, which ecdynamics shares), and census_graph
 decomposes the functional graph (decompose_table, _cycle_lengths).
 census is the one ladder over them: census_route picks the first that
-fits the memory budget, or refuses a run that cannot finish.
+fits the memory budget, or refuses a run that cannot finish. Each route
+counts N(k) only; CycleCensus is the one place where least periods come
+from.
 fixed_points and fixed_point_counts_all_bases give N(1) directly.
 
 The fast routes rest on these reductions, each stated in the function
@@ -27,9 +29,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -212,16 +213,26 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class CycleCensus:
-    """Period counts for k = 1..k_max (index 0 of each list is unused).
+    """Period counts for k = 1..k_max (index 0 of each tuple is unused).
 
     n_dividing[k] counts starting values whose k-th iterate returns to
-    the start (period divides k); n_least_period[d] counts points of
-    least period exactly d.
+    the start (period divides k), and is stored as a tuple whatever
+    sequence is passed; n_least_period[d] counts points of least period
+    exactly d. __post_init__ derives n_least_period from n_dividing by
+    Mobius inversion over the divisors: N(k) sums it over d | k.
     """
 
     k_max: int
     n_dividing: tuple[int, ...]
-    n_least_period: tuple[int, ...]
+    n_least_period: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        least = list(self.n_dividing)
+        for d in range(1, self.k_max + 1):
+            for multiple in range(2 * d, self.k_max + 1, d):
+                least[multiple] -= least[d]
+        object.__setattr__(self, "n_dividing", tuple(self.n_dividing))
+        object.__setattr__(self, "n_least_period", tuple(least))
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,8 @@ def orbit(m: ExpMap, u0: int) -> OrbitRecord:
 
 
 def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
-    """Count u0 with u_k == u0 for each k <= k_max by direct iteration.
+    """Count N(k), the u0 with u_k == u0, for each k <= k_max by the
+    definition: iterate from every start.
 
     The definitional route: O(p * k_max) map applications, O(1) extra
     memory.
@@ -292,19 +304,12 @@ def census_naive(m: ExpMap, k_max: int) -> CycleCensus:
     _require_kmax(k_max)
     p, g = m.p, m.g
     n_div = [0] * (k_max + 1)
-    n_least = [0] * (k_max + 1)
     for u in range(1, p):
         v = u
-        least = 0
         for k in range(1, k_max + 1):
             v = pow(g, v, p)
-            if v == u:
-                n_div[k] += 1
-                if least == 0:
-                    least = k
-        if least:
-            n_least[least] += 1
-    return CycleCensus(k_max, tuple(n_div), tuple(n_least))
+            n_div[k] += v == u
+    return CycleCensus(k_max, n_div)
 
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> None:
@@ -377,15 +382,6 @@ def _require_int64_exact(p: int) -> None:
         )
 
 
-def _invert_dividing(n_div: list[int], k_max: int) -> list[int]:
-    """Least-period counts from period-dividing counts (n_div[d] = sum over e|d)."""
-    n_least = list(n_div)
-    for d in range(1, k_max + 1):
-        for multiple in range(2 * d, k_max + 1, d):
-            n_least[multiple] -= n_least[d]
-    return n_least
-
-
 def _check_range(table: np.ndarray) -> None:
     """Raise IndexError unless every value of table lies in [0, len(table)).
 
@@ -427,7 +423,7 @@ def _census_from_table(table: np.ndarray, k_max: int, start: int) -> CycleCensus
             if k > 1:
                 cur = table.take(cur, out=bufs[k % 2, :n], mode="wrap")
             n_div[k] += int(np.count_nonzero(np.equal(cur, base, out=equal)))
-    return CycleCensus(k_max, tuple(n_div), tuple(_invert_dividing(n_div, k_max)))
+    return CycleCensus(k_max, n_div)
 
 
 def census_table(m: ExpMap, k_max: int) -> CycleCensus:
@@ -613,26 +609,18 @@ def _census_from_cycles(
 ) -> CycleCensus:
     """CycleCensus from a cycle-length multiset.
 
-    A cycle of length L holds L points of least period L, and
-    n_dividing[k] sums those over the divisors L of k. fixed_outside
-    fixed points lie outside the census domain and are not counted.
-    k_max defaults to the longest cycle length.
+    The L points of a cycle of length L return after k steps for every
+    multiple k of L, so each adds L to n_dividing[k]. fixed_outside fixed
+    points lie outside the census domain and are subtracted from every
+    n_dividing[k]. k_max defaults to the longest cycle length.
     """
-    least = Counter()
-    for length in cycle_lengths:
-        least[length] += length
-    if fixed_outside:
-        least[1] -= fixed_outside
     if k_max is None:
-        k_max = max(least)
-    n_div = [0] * (k_max + 1)
-    n_least = [0] * (k_max + 1)
-    for d, count in least.items():
-        if d <= k_max:
-            n_least[d] = count
-            for k in range(d, k_max + 1, d):
-                n_div[k] += count
-    return CycleCensus(k_max, tuple(n_div), tuple(n_least))
+        k_max = max(cycle_lengths)
+    n_div = [0] + [-fixed_outside] * k_max
+    for length in cycle_lengths:
+        for k in range(length, k_max + 1, length):
+            n_div[k] += length
+    return CycleCensus(k_max, n_div)
 
 
 def _subgroup_map(m: ExpMap, t: int, out: np.ndarray | None = None) -> np.ndarray:

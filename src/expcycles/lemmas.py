@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics
-from .modarith import check_prime_modulus, discrete_log, is_primitive_root
+from .modarith import _bsgs, check_prime_modulus, is_primitive_root
 
 M_SEMANTICS = dynamics.M_SEMANTICS
 
@@ -162,9 +162,9 @@ def thm3_S(p: int, g: int) -> set[int]:
         raise ValueError(f"g={g} outside {{1,...,{p - 1}}}")
     if not is_primitive_root(g, p):
         raise ValueError(f"g={g} is not a primitive root mod {p}")
-    out = {p - 1, discrete_log(g, p - 1, p)}
+    out = {p - 1, _bsgs(g, p - 1, p)}
     for j in range(1, g):
-        out.add(discrete_log(g, j * p // g, p))
+        out.add(_bsgs(g, j * p // g, p))
     return out
 
 

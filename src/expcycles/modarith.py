@@ -184,6 +184,12 @@ def discrete_log(g: int, h: int, p: int) -> int:
         raise ValueError("h must be a unit mod p")
     if not is_primitive_root(g, p):
         raise ValueError(f"g={g} is not a primitive root mod {p}")
+    return _bsgs(g, h, p)
+
+
+def _bsgs(g: int, h: int, p: int) -> int:
+    """The baby-step giant-step body of discrete_log, unchecked: p an odd
+    prime, g a primitive root and h a unit, both reduced mod p."""
     m = math.isqrt(p - 2) + 1
     baby = {}
     x = 1

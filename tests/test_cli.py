@@ -275,11 +275,24 @@ class TestReportPath:
          "ff7aea3a2e14aec96bce66e4f57ec3c0b83aacf605359ea60eeab4793cd2fd36"),
         (("census", "--p", "10000019", "--g", "6", "--kmax", "3"),
          "a7ad88339589d22b8cb81487ae1a486f9d4a79dab20918ea38d5a5a476ca4006"),
+        # k = 12 runs the least-period inversion over periods 4 and 6: the
+        # graph pass and the naive rung at p = 1009, the curve map, a sweep
+        (("census", "--p", "1009", "--g", "3", "--kmax", "12"),
+         "e2a56d2f97a1581eed5226c4e3f604129248224664ed1528fd8e640cd155a8bc"),
+        (("census", "--p", "1009", "--g", "3", "--kmax", "12", "--mem-budget", "0"),
+         "c8d872723e1f11b154e1553208e66004e763332817d4d70868c6b5105c550219"),
+        (("ec", "--p", "101", "--a", "2", "--b", "3", "--gx", "1", "--gy", "39",
+          "--kmax", "12"),
+         "8677d9f004dc79ba2a0a22ed72bb9b31d869cfd138df1860aa42a23d7f8ec868"),
+        (("sweep", "--pmin", "101", "--pmax", "151", "--g-list", "2,3,5", "--kmax", "12",
+          "--csv"),
+         "b7a0436b6c042023d37a99ba2ca2ab3a9e64571bd7eb722c880a4f275186bd54"),
     ]
 
     @pytest.mark.parametrize("argv, digest", GOLDEN, ids=[
         "sweep", "verify-bounds", "ec", "thm3-single", "thm3-range", "fact2", "avg",
-        "verify-bounds-5000", "avg-k3", "census-g2", "census-g3", "census-g6"])
+        "verify-bounds-5000", "avg-k3", "census-g2", "census-g3", "census-g6",
+        "census-k12-graph", "census-k12-naive", "ec-k12", "sweep-k12"])
     def test_golden_stdout(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -98,6 +98,18 @@ class TestOrbit:
                 assert dynamics.iterate(m, before, rec.cycle_length) != before
 
 
+class TestCycleCensus:
+    def test_least_periods_derived_from_dividing(self):
+        # the N(k) of p = 1009, g = 3: cycles of lengths 1, 2, 4 and 8
+        n_div = [0, 2, 4, 2, 8, 2, 4, 2, 16, 2, 4, 2, 8]
+        assert dynamics.census_table(dynamics.ExpMap(1009, 3), 12).n_dividing == tuple(n_div)
+        c = dynamics.CycleCensus(12, n_div)
+        assert c.n_least_period == (0, 2, 2, 0, 4, 0, 0, 0, 8, 0, 0, 0, 0)
+        assert isinstance(c.n_dividing, tuple)
+        same = dynamics.CycleCensus(12, tuple(n_div))
+        assert c == same and hash(c) == hash(same)
+
+
 class TestCensusNaive:
     def test_golden_11_2(self):
         c = dynamics.census_naive(dynamics.ExpMap(11, 2), 3)
@@ -449,10 +461,12 @@ class TestCensusRoutes:
                 if g == 1:
                     continue
                 assert (p - 1) // brute_order(g, p) >= 2
-                census = dynamics.census_table(dynamics.ExpMap(p, g), 4)
-                n_div, n_least = brute_census(p, g, 4)
+                m = dynamics.ExpMap(p, g)
+                census = dynamics.census_table(m, 12)
+                n_div, n_least = brute_census(p, g, 12)
                 assert list(census.n_dividing) == n_div, (p, g)
                 assert list(census.n_least_period) == n_least, (p, g)
+                assert dynamics.census_naive(m, 12) == census, (p, g)
 
     def test_graph_equals_naive_exhaustive_small(self):
         # both routes on <g>; every g covers t = 1 (g = 1), t = 2 (g = p-1),
@@ -506,8 +520,8 @@ class TestCensusRoutes:
         for _ in range(25):
             p = rng.choice(trial_primes_between(3, 400))
             g = rng.randint(1, p - 1)
-            _, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=5)
-            n_div, n_least = brute_census(p, g, 5)
+            _, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=12)
+            n_div, n_least = brute_census(p, g, 12)
             assert list(census.n_dividing) == n_div
             assert list(census.n_least_period) == n_least
 
@@ -848,9 +862,9 @@ class TestGraphSummaryAgainstOracles:
             h = rng.randint(2, p - 2)
             assert (p - 1) // brute_order(h * h % p, p) >= 2
             for g in (1, p - 1, h, h * h % p):
-                summary, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=4)
+                summary, census = dynamics.census_graph(dynamics.ExpMap(p, g), k_max=12)
                 assert summary == oracle_summary(p, g), (p, g)
-                n_div, n_least = brute_census(p, g, 4)
+                n_div, n_least = brute_census(p, g, 12)
                 assert list(census.n_dividing) == n_div, (p, g)
                 assert list(census.n_least_period) == n_least, (p, g)
 

@@ -347,7 +347,7 @@ class TestECCensus:
             maps.append(ecdynamics.ECExpMap(curve, rng.choice(points[1:])))
         for m in maps:
             table = ecdynamics.ec_table(m).tolist()
-            for k_max in range(1, 7):
+            for k_max in range(1, 13):
                 census = ecdynamics.ec_census(m, k_max)
                 n_div, n_least = ec_brute_census(table, m.n, k_max)
                 assert list(census.n_dividing) == n_div, (m, k_max)

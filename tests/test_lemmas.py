@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import brute_ind, brute_table, trial_primes_between
-from expcycles import dynamics, lemmas
+from expcycles import dynamics, lemmas, modarith
 from expcycles.modarith import is_primitive_root, primitive_root
 
 
@@ -148,6 +148,22 @@ class TestThm3S:
     def test_rejects_non_primitive_root(self):
         with pytest.raises(ValueError):
             lemmas.thm3_S(7, 2)
+
+    def test_primitive_root_tested_once(self, monkeypatch):
+        # g + 1 discrete logs share the one primitive-root test of g
+        p, g = 1000003, 5
+        expected = {p - 1} | {modarith.discrete_log(g, h, p) for h in
+                              [p - 1] + [j * p // g for j in range(1, g)]}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return is_primitive_root(*args)
+
+        monkeypatch.setattr(lemmas, "is_primitive_root", counted)
+        monkeypatch.setattr(modarith, "is_primitive_root", counted)
+        assert lemmas.thm3_S(p, g) == expected
+        assert calls == [(g, p)]
 
 
 class TestThm3Phi:
