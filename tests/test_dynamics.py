@@ -100,7 +100,7 @@ class TestOrbit:
 
 class TestCycleCensus:
     def test_least_periods_derived_from_dividing(self):
-        # the N(k) of p = 1009, g = 3: cycles of lengths 1, 2, 4 and 8
+        # the N(k) of p = 1009, g = 3: cycles of lengths 1, 1, 2, 4 and 8
         n_div = [0, 2, 4, 2, 8, 2, 4, 2, 16, 2, 4, 2, 8]
         assert dynamics.census_table(dynamics.ExpMap(1009, 3), 12).n_dividing == tuple(n_div)
         c = dynamics.CycleCensus(12, n_div)
