@@ -2,8 +2,10 @@
 
 Reports are newline-delimited JSON objects (default) or CSV with a
 header row, written to stdout or --out FILE row by row as the rows are
-produced. Every subcommand checks its arguments before the first row and
-then writes through _emit. Exit codes: 0 for success with no violations,
+produced. Every subcommand checks its arguments before the first row.
+Each row is encoded once, by _line in the function that builds it (in
+the pool worker under --workers), and _emit writes the CSV header and
+the finished lines. Exit codes: 0 for success with no violations,
 1 when a checked inequality or claim fails on some instance, 2 for
 invalid input (nothing is written), 3 for an internal failure, before
 or after the first row (the rows already written are kept), and 141
@@ -14,6 +16,7 @@ the pipe early, as `... | head -1` does.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
@@ -53,14 +56,30 @@ def _select_gs(p: int, args) -> list[int]:
     return list(range(1, p))
 
 
-def _emit(args, results, columns: list[str], flatten) -> int:
-    """Write each (row, violated) result as it arrives; return the exit code.
+def _line(args, row: dict | None, cells) -> str:
+    """row as one JSON line, or under --csv the list cells() as one CSV line.
 
-    1 if any row is violated, else 0. An --out FILE that cannot be opened
+    The one encoder of report rows and of the CSV header. A None cell is an
+    empty one, and cells() runs only under --csv.
+    """
+    if not args.csv:
+        return json.dumps(row) + "\n"
+    import csv
+    text = io.StringIO()
+    csv.writer(text).writerow(cells())
+    return text.getvalue()
+
+
+def _emit(args, lines, columns: list[str]) -> int:
+    """Write the CSV header under --csv, then each (line, violated) as it
+    arrives; return the exit code.
+
+    The row functions encode their lines (_line); this only writes them.
+    1 if any line is violated, else 0. An --out FILE that cannot be opened
     is invalid input (ValueError, before the first row). A closed stdout
     pipe ends the run quietly with 141. Any other exception raised while
-    the results are produced or written is internal: the rows written so
-    far stay, the error goes to stderr, and the exit code is 3.
+    the lines are produced or written is internal: the lines written so
+    far stay, the error's repr goes to stderr, and the exit code is 3.
     """
     try:
         stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
@@ -68,16 +87,10 @@ def _emit(args, results, columns: list[str], flatten) -> int:
         raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     code = EXIT_OK
     try:
-        writer = None
         if args.csv:
-            import csv
-            writer = csv.writer(stream)
-            writer.writerow(columns)
-        for row, violated in results:
-            if writer:
-                writer.writerow(flatten(row))
-            else:
-                stream.write(json.dumps(row) + "\n")
+            stream.write(_line(args, None, lambda: columns))
+        for line, violated in lines:
+            stream.write(line)
             if violated:
                 code = EXIT_VIOLATION
         stream.flush()
@@ -90,7 +103,7 @@ def _emit(args, results, columns: list[str], flatten) -> int:
             os.close(devnull)
         code = EXIT_BROKEN_PIPE
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         code = EXIT_INTERNAL
     finally:
         if stream is not sys.stdout:
@@ -124,11 +137,6 @@ def _count_columns(k_max: int) -> list[str]:
     ]
 
 
-def _census_rows(m: dynamics.ExpMap, k_max: int, mem_budget: int):
-    census, summary = dynamics.census(m, k_max, mem_budget)
-    yield {"p": m.p, "g": m.g, **_counts(census, k_max), "graph": _graph_fields(summary)}, False
-
-
 def _census_columns(k_max: int) -> list[str]:
     return (
         ["p", "g"]
@@ -137,27 +145,25 @@ def _census_columns(k_max: int) -> list[str]:
     )
 
 
-def _census_flat(row: dict) -> list:
+def _census_cells(row: dict) -> list:
     graph = row["graph"] or {}
     return (
-        [row["p"], row["g"]]
-        + row["n_dividing"]
-        + row["n_least_period"]
-        + [
-            graph.get("components", ""),
-            graph.get("cyclic_points", ""),
-            graph.get("max_tail", ""),
-            graph.get("is_permutation", ""),
-            ";".join(map(str, graph.get("cycles", []))),
-        ]
+        [row["p"], row["g"], *row["n_dividing"], *row["n_least_period"]]
+        + [graph.get(c) for c in ("components", "cyclic_points", "max_tail", "is_permutation")]
+        + [";".join(map(str, graph.get("cycles", ())))]
     )
+
+
+def _census_rows(args, m: dynamics.ExpMap):
+    census, summary = dynamics.census(m, args.kmax, args.mem_budget)
+    row = {"p": m.p, "g": m.g, **_counts(census, args.kmax), "graph": _graph_fields(summary)}
+    yield _line(args, row, lambda: _census_cells(row)), False
 
 
 def cmd_census(args) -> int:
     m = dynamics.ExpMap(args.p, args.g)
     dynamics.census_route(m.p, multiplicative_order(m.g, m.p), args.kmax, args.mem_budget)
-    return _emit(args, _census_rows(m, args.kmax, args.mem_budget),
-                 _census_columns(args.kmax), _census_flat)
+    return _emit(args, _census_rows(args, m), _census_columns(args.kmax))
 
 
 # ---------------------------------------------------------- verify-bounds
@@ -185,29 +191,20 @@ _BOUND_CELL_COLUMNS = [
     "thm3_value", "thm3_ok", "notes",
 ]
 
-
-def _bound_cells(row: dict) -> list:
-    b, f = row["bounds"], row["flags"]
-    return [
-        b["thm1"], f["thm1_applicable"], f["thm1"],
-        "" if b["thm2"]["z"] is None else b["thm2"]["z"],
-        "" if b["thm2"]["value"] is None else b["thm2"]["value"],
-        f["thm2"], b["thm3"], f["thm3"], ";".join(row["notes"]),
-    ]
-
-
+# the fields of bounds.BoundReport, in order
 _BOUNDS_COLUMNS = ["p", "g", "n1", "n2", "n3"] + _BOUND_CELL_COLUMNS
 
 
-def _bounds_flat(row: dict) -> list:
-    return [row["p"], row["g"], row["n1"], row["n2"], row["n3"]] + _bound_cells(row)
+def _bound_cells(report: bounds.BoundReport, columns: list[str]) -> list:
+    """The report's fields named by columns, its notes joined by ";"."""
+    return [";".join(report.notes) if c == "notes" else getattr(report, c) for c in columns]
 
 
-def _bounds_row(p: int, g: int, args) -> tuple[dict, bool]:
+def _bounds_row(p: int, g: int, args) -> tuple[str, bool]:
     report = bounds.verify(dynamics.ExpMap(p, g))
     row = {"p": p, "g": report.g, "n1": report.n1, "n2": report.n2, "n3": report.n3,
            **_bound_fields(report)}
-    return row, report.violated
+    return _line(args, row, lambda: _bound_cells(report, _BOUNDS_COLUMNS)), report.violated
 
 
 def _primes(pmin: int, pmax: int) -> list[int]:
@@ -224,8 +221,8 @@ def _range_primes(args) -> list[int]:
     return _primes(args.pmin, args.pmax)
 
 
-def _prime_rows(row_fn, args, p: int) -> list[tuple[dict, bool]]:
-    """One pool task: the rows of prime p, in g order."""
+def _prime_rows(row_fn, args, p: int) -> list[tuple[str, bool]]:
+    """One pool task: the encoded rows of prime p, in g order."""
     return [row_fn(p, g, args) for g in _select_gs(p, args)]
 
 
@@ -254,28 +251,21 @@ def _range_rows(primes: list[int], args, row_fn):
 
 
 def cmd_verify_bounds(args) -> int:
-    return _emit(args, _range_rows(_range_primes(args), args, _bounds_row),
-                 _BOUNDS_COLUMNS, _bounds_flat)
+    return _emit(args, _range_rows(_range_primes(args), args, _bounds_row), _BOUNDS_COLUMNS)
 
 
 # ----------------------------------------------------------------- sweep
 
-def _sweep_row(p: int, g: int, args) -> tuple[dict, bool]:
+def _sweep_row(p: int, g: int, args) -> tuple[str, bool]:
     m = dynamics.ExpMap(p, g)
     # bounds always need counts up to k = 3
     census, summary = dynamics.census(m, max(3, args.kmax), args.mem_budget)
     report = bounds.verify(m, census=census)
     row = {"p": p, "g": m.g, **_counts(census, args.kmax), "graph": _graph_fields(summary),
            **_bound_fields(report)}
-    return row, report.violated
-
-
-def _sweep_columns(k_max: int) -> list[str]:
-    return _census_columns(k_max) + _BOUND_CELL_COLUMNS
-
-
-def _sweep_flat(row: dict) -> list:
-    return _census_flat(row) + _bound_cells(row)
+    return (_line(args, row,
+                  lambda: _census_cells(row) + _bound_cells(report, _BOUND_CELL_COLUMNS)),
+            report.violated)
 
 
 def cmd_sweep(args) -> int:
@@ -287,7 +277,7 @@ def cmd_sweep(args) -> int:
     k_max = max(3, args.kmax) if args.kmax >= 1 else args.kmax
     dynamics.census_route(top, top - 1, k_max, args.mem_budget)
     return _emit(args, _range_rows(primes, args, _sweep_row),
-                 _sweep_columns(args.kmax), _sweep_flat)
+                 _census_columns(args.kmax) + _BOUND_CELL_COLUMNS)
 
 
 # ----------------------------------------------------------------- lemma
@@ -310,21 +300,20 @@ def _fact1_rows(args, prime_pool: list[int]):
         "umax": args.umax,
         "failures": failures,
     }
-    yield row, bool(failures)
+    yield _line(args, row, lambda: ["fact1", args.trials, args.seed, len(failures)]), bool(failures)
 
 
 def cmd_lemma_fact1(args) -> int:
     prime_pool = primes_in_range(3, args.pmax)
     if not prime_pool or args.umax < 0 or args.trials < 0:
         raise ValueError("lemma fact1 needs --pmax >= 3, --umax >= 0 and --trials >= 0")
-    return _emit(args, _fact1_rows(args, prime_pool), ["check", "trials", "seed", "failures"],
-                 lambda r: [r["check"], r["trials"], r["seed"], len(r["failures"])])
+    return _emit(args, _fact1_rows(args, prime_pool), ["check", "trials", "seed", "failures"])
 
 
-def _fact2_rows(g_values: list[int], pmax: int):
+def _fact2_rows(args):
     from . import lemmas
-    primes = primes_in_range(3, pmax)
-    for g in g_values:
+    primes = primes_in_range(3, args.pmax)
+    for g in args.g_list or [2]:
         checked = 0
         violations: list[dict] = []
         for p in primes:
@@ -333,15 +322,14 @@ def _fact2_rows(g_values: list[int], pmax: int):
             checked += p - 1
             for y in lemmas.fact2_violations(p, g):
                 violations.append({"p": p, "y": y})
-        row = {"check": "fact2", "g": g, "pmax": pmax, "checked": checked,
+        row = {"check": "fact2", "g": g, "pmax": args.pmax, "checked": checked,
                "violations": violations}
-        yield row, bool(violations)
+        yield (_line(args, row, lambda: ["fact2", g, args.pmax, checked, len(violations)]),
+               bool(violations))
 
 
 def cmd_lemma_fact2(args) -> int:
-    return _emit(args, _fact2_rows(args.g_list or [2], args.pmax),
-                 ["check", "g", "pmax", "checked", "violations"],
-                 lambda r: [r["check"], r["g"], r["pmax"], r["checked"], len(r["violations"])])
+    return _emit(args, _fact2_rows(args), ["check", "g", "pmax", "checked", "violations"])
 
 
 def _comb_rows(args):
@@ -362,15 +350,14 @@ def _comb_rows(args):
         "seed": args.seed,
         "failures": failures,
     }
-    yield row, bool(failures)
+    yield (_line(args, row, lambda: ["comb", args.random, args.nmax, args.k, args.seed,
+                                     len(failures)]), bool(failures))
 
 
 def cmd_lemma_comb(args) -> int:
     if args.nmax < 1 or args.k < 1 or args.random < 0:
         raise ValueError("lemma comb needs --nmax >= 1, --k >= 1 and --random >= 0")
-    return _emit(args, _comb_rows(args), ["check", "instances", "nmax", "k", "seed", "failures"],
-                 lambda r: [r["check"], r["instances"], r["nmax"], r["k"], r["seed"],
-                            len(r["failures"])])
+    return _emit(args, _comb_rows(args), ["check", "instances", "nmax", "k", "seed", "failures"])
 
 
 _THM3_COLUMNS = [
@@ -380,7 +367,7 @@ _THM3_COLUMNS = [
 ]
 
 
-def _thm3_row(report) -> tuple[dict, bool]:
+def _thm3_row(args, report) -> tuple[str, bool]:
     row = {
         "p": report.p,
         "g": report.g,
@@ -392,16 +379,14 @@ def _thm3_row(report) -> tuple[dict, bool]:
         "s_size": len(report.s_set),
     }
     row.update((flag, getattr(report, flag)) for flag in _THM3_COLUMNS[7:])
-    return row, not report.all_ok
-
-
-def _thm3_flat(row: dict) -> list:
-    return [row[c] for c in _THM3_COLUMNS]
+    return _line(args, row, lambda: [row[c] for c in _THM3_COLUMNS]), not report.all_ok
 
 
 def cmd_lemma_thm3(args) -> int:
     from . import lemmas
     if args.p is not None:
+        if args.pmin is not None or args.pmax is not None:
+            raise ValueError("lemma thm3 takes --p or a --pmin/--pmax range, not both")
         check_prime_modulus(args.p)
         dynamics._require_int64_exact(args.p)
         candidates = [args.p]
@@ -413,13 +398,13 @@ def cmd_lemma_thm3(args) -> int:
     primes = [p for p in candidates if 1 <= args.g <= p - 1 and is_primitive_root(args.g, p)]
     if args.p is not None and not primes:
         raise ValueError(f"g={args.g} is not a primitive root mod {args.p}")
-    rows = (_thm3_row(lemmas.thm3_verify(p, args.g, args.m_semantics)) for p in primes)
-    return _emit(args, rows, _THM3_COLUMNS, _thm3_flat)
+    rows = (_thm3_row(args, lemmas.thm3_verify(p, args.g, args.m_semantics)) for p in primes)
+    return _emit(args, rows, _THM3_COLUMNS)
 
 
 # -------------------------------------------------------------------- ec
 
-def _ec_rows(args, m: ecdynamics.ECExpMap):
+def _ec_rows(args, m: ecdynamics.ECExpMap, head: list[str]):
     census = ecdynamics.ec_census(m, args.kmax)
     row = {
         "p": args.p,
@@ -431,7 +416,8 @@ def _ec_rows(args, m: ecdynamics.ECExpMap):
         "hasse_ok": ecdynamics.hasse_ok(args.p, m.n),
         **_counts(census, args.kmax),
     }
-    yield row, False
+    yield _line(args, row, lambda: [row[c] for c in head] + row["n_dividing"]
+                + row["n_least_period"]), False
 
 
 def cmd_ec(args) -> int:
@@ -440,17 +426,18 @@ def cmd_ec(args) -> int:
     dynamics._require_int64_exact(args.p)  # the half table's products
     m = ecdynamics.ECExpMap(curve, (args.gx, args.gy))
     head = ["p", "a", "b", "gx", "gy", "n", "hasse_ok"]
-    return _emit(args, _ec_rows(args, m), head + _count_columns(args.kmax),
-                 lambda r: [r[c] for c in head] + r["n_dividing"] + r["n_least_period"])
+    return _emit(args, _ec_rows(args, m, head), head + _count_columns(args.kmax))
 
 
 # ------------------------------------------------------------------- avg
 
-def _avg_rows(p: int, k: int):
+def _avg_rows(args):
+    p, k = args.p, args.k
     per_g = (dynamics.fixed_point_counts_all_bases(p)[1:].tolist() if k == 1 else
              [dynamics.census_table(dynamics.ExpMap(p, g), k).n_dividing[k] for g in range(1, p)])
     total = sum(per_g)
-    yield {"p": p, "k": k, "total": total, "mean": total / (p - 1), "per_g": per_g}, False
+    row = {"p": p, "k": k, "total": total, "mean": total / (p - 1), "per_g": per_g}
+    yield _line(args, row, lambda: [p, k, total, row["mean"], ";".join(map(str, per_g))]), False
 
 
 def cmd_avg(args) -> int:
@@ -459,9 +446,7 @@ def cmd_avg(args) -> int:
         raise ValueError("k must be >= 1")
     if args.k == 1:  # the all-bases count is a table pass over {0,...,p-1}
         dynamics._require_int64_exact(args.p)
-    return _emit(args, _avg_rows(args.p, args.k), ["p", "k", "total", "mean", "per_g"],
-                 lambda r: [r["p"], r["k"], r["total"], r["mean"],
-                            ";".join(map(str, r["per_g"]))])
+    return _emit(args, _avg_rows(args), ["p", "k", "total", "mean", "per_g"])
 
 
 # ---------------------------------------------------------------- parser

@@ -138,17 +138,19 @@ class TestVerifyBoundsCommand:
         assert [r["g"] for r in json_rows(out)] == [2, 6, 7, 8]
 
     def test_worker_count_is_invisible_in_output(self, capsys):
-        # the workers select each prime's g values themselves
+        # the workers select each prime's g values themselves and encode
+        # their rows in either format
         for base_args in (
             ["verify-bounds", "--pmin", "11", "--pmax", "61", "--g-list", "2,3,5"],
             ["verify-bounds", "--pmin", "11", "--pmax", "61", "--primitive-roots-only"],
             ["verify-bounds", "--pmin", "11", "--pmax", "61"],
             ["sweep", "--pmin", "11", "--pmax", "61", "--g-list", "2,3,5"],
         ):
-            code1, out1, _ = run_cli(capsys, *base_args, "--workers", "1")
-            code2, out2, _ = run_cli(capsys, *base_args, "--workers", "3")
-            assert code1 == code2 == 0, base_args
-            assert out1 == out2 and out1, base_args
+            for fmt in ("--json", "--csv"):
+                code1, out1, _ = run_cli(capsys, *base_args, fmt, "--workers", "1")
+                code2, out2, _ = run_cli(capsys, *base_args, fmt, "--workers", "3")
+                assert code1 == code2 == 0, (base_args, fmt)
+                assert out1 == out2 and out1, (base_args, fmt)
 
     def test_csv_has_header(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--pmin", "11", "--pmax", "13",
@@ -463,18 +465,23 @@ if __name__ == "__main__":
         assert err.startswith("error: cannot write --out")
 
     def test_failure_before_first_row_exits_3(self, capsys, monkeypatch, tmp_path):
-        # exit 1 is a failed bound, so a sieve out of memory must not escape main
+        # exit 1 is a failed bound, so a sieve out of memory must not escape main;
+        # the report names the exception whether main or _emit catches it
         def no_memory(lo, hi):
             raise MemoryError
 
         monkeypatch.setattr(cli, "primes_in_range", no_memory)
-        target = tmp_path / "report.jsonl"
-        for out_args in ([], ["--out", str(target)]):
-            code, out, err = run_cli(capsys, "verify-bounds", "--pmin", "3", "--pmax", "100",
-                                     *out_args)
-            assert (code, out) == (3, "")
-            assert err.startswith("internal error:")
-        assert not target.exists()
+        for argv in (("verify-bounds", "--pmin", "3", "--pmax", "100"),
+                     ("lemma", "fact2", "--pmax", "100")):
+            target = tmp_path / f"{argv[0]}.jsonl"
+            for out_args in ([], ["--out", str(target)]):
+                code, out, err = run_cli(capsys, *argv, *out_args)
+                assert (code, out) == (3, ""), argv
+                assert err.startswith("internal error:") and "MemoryError" in err, argv
+        # verify-bounds sieves before it opens --out; fact2 sieves in its row
+        # generator, so its file is opened and left empty
+        assert not (tmp_path / "verify-bounds.jsonl").exists()
+        assert (tmp_path / "lemma.jsonl").read_text() == ""
 
 
 class TestBrokenPipe:
@@ -586,7 +593,9 @@ class TestLemmaCommands:
         ("comb", "--random", "5", "--k", "0"),
         ("fact1", "--trials", "-5"),
         ("comb", "--random", "-3"),
-    ], ids=["fact1-pmax", "fact1-umax", "comb-nmax", "comb-k", "fact1-trials", "comb-random"])
+        ("thm3", "--p", "11", "--pmin", "3", "--pmax", "5", "--g", "2"),
+    ], ids=["fact1-pmax", "fact1-umax", "comb-nmax", "comb-k", "fact1-trials", "comb-random",
+            "thm3-p-and-range"])
     def test_bad_ranges_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, "lemma", *argv)
         assert (code, out) == (2, "")
